@@ -10,6 +10,7 @@ of several hundred stay exact to double round-off.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,15 +169,20 @@ def truncation_window(params: ModelParams) -> TruncationWindow:
 
     Grown greedily outwards from the weight peak, always absorbing the
     boundary with the larger mass (the Poisson weights are right-skewed, so
-    the window comes out asymmetric around n0 + 1).
+    the window comes out asymmetric around n0 + 1).  The window depends only
+    on (qa, trunc_tol, n_max_override) and is cached on those, so packets
+    that differ only in alpha/beta or lambda_over_a share one instance.
     """
-    qa = params.qa
+    return _window(params.qa, params.trunc_tol, params.n_max_override)
+
+
+@functools.lru_cache(maxsize=256)
+def _window(qa: float, trunc_tol: float, hard_max: int | None) -> TruncationWindow:
     lam = 0.5 * qa**2
     peak = max(1, int(math.floor(lam)) + 1)
-    hard_max = params.n_max_override
     lo = hi = peak
     covered = math.exp(float(_log_weight_sq(np.array([peak]), qa)[0]))
-    while 1.0 - covered >= params.trunc_tol:
+    while 1.0 - covered >= trunc_tol:
         w_lo = (
             math.exp(float(_log_weight_sq(np.array([lo - 1]), qa)[0]))
             if lo > 1
@@ -194,7 +200,7 @@ def truncation_window(params: ModelParams) -> TruncationWindow:
             covered += w_lo
         else:
             raise RuntimeError(
-                f"trunc_tol={params.trunc_tol:g} unattainable with "
+                f"trunc_tol={trunc_tol:g} unattainable with "
                 f"n_max_override={hard_max}"
             )
     return TruncationWindow(lo, hi)

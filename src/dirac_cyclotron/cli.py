@@ -162,7 +162,10 @@ def resolve_time(expr: str, scales: DerivedScales) -> float:
         raise ConfigError(f"cannot parse time expression {expr!r}") from None
 
 
-def _get_float(scn: Scenario, key: str) -> float:
+def _get_float(scn: Scenario, key: str, default: float | None = None) -> float:
+    if key not in scn.values:
+        assert default is not None
+        return default
     try:
         return float(scn.values[key])
     except ValueError:
@@ -184,26 +187,31 @@ def _get_int(scn: Scenario, key: str, default: int | None = None) -> int:
 
 
 def _build_params(scn: Scenario) -> ModelParams:
-    trunc_tol = float(scn.values.get("trunc_tol", "1e-12"))
     try:
         return ModelParams(
             lambda_over_a=_get_float(scn, "lambda_over_a"),
             qa=_get_float(scn, "qa"),
             alpha=_get_float(scn, "alpha"),
             beta=_get_float(scn, "beta"),
-            trunc_tol=trunc_tol,
+            trunc_tol=_get_float(scn, "trunc_tol", 1e-12),
         )
     except ValueError as exc:
         raise ConfigError(f"scenario {scn.name!r}: {exc}") from None
 
 
 def _build_grid(scn: Scenario, params: ModelParams) -> PolarGrid:
-    rho_max = float(scn.values.get("rho_max", params.qa + 6.0))
-    return PolarGrid(
-        rho_max=rho_max,
+    grid = PolarGrid(
+        rho_max=_get_float(scn, "rho_max", params.qa + 6.0),
         n_rho=_get_int(scn, "n_rho", 120),
         n_theta=_get_int(scn, "n_theta", 256),
     )
+    if not 0.0 < grid.rho_max < math.inf:
+        raise ConfigError("rho_max must be positive and finite")
+    if grid.n_rho < 2:
+        raise ConfigError("n_rho must be >= 2")
+    if grid.n_theta < 1:
+        raise ConfigError("n_theta must be >= 1")
+    return grid
 
 
 def _header_lines(pairs: list[tuple[str, str]], timestamp: bool) -> list[str]:
@@ -232,7 +240,7 @@ def _write_artifact(
     path: Path,
     header: list[tuple[str, str]],
     columns: list[str],
-    rows: list[tuple],
+    rows,
     timestamp: bool,
 ) -> None:
     lines = _header_lines(header, timestamp)
@@ -240,6 +248,24 @@ def _write_artifact(
     for row in rows:
         lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_table(
+    path: Path,
+    header: list[tuple[str, str]],
+    columns: list[str],
+    values,
+    timestamp: bool,
+) -> None:
+    """Write equal-size numeric arrays as artifact columns, one row per element.
+
+    Raises ArithmeticError, before anything is written, if any value is not
+    finite.
+    """
+    if not all(np.isfinite(v).all() for v in values):
+        raise ArithmeticError(f"non-finite value in the {path.name} payload")
+    rows = zip(*(np.ravel(v).tolist() for v in values), strict=True)
+    _write_artifact(path, header, columns, rows, timestamp)
 
 
 def _sweep(func, taus: np.ndarray, threads: int) -> list:
@@ -329,55 +355,45 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
             "omega_zb_per_second",
             "B_tesla",
         ]
-        rows = [
-            (
-                scales.n0,
-                scales.T_cl,
-                scales.T_D,
-                scales.T_R,
-                scales.omega_c,
-                scales.omega_zb,
-                scales.T_cl * TIME_UNIT_SECONDS,
-                scales.T_D * TIME_UNIT_SECONDS,
-                scales.T_R * TIME_UNIT_SECONDS,
-                scales.omega_zb / TIME_UNIT_SECONDS,
-                scales.B_tesla,
-            )
+        values = [
+            scales.n0,
+            scales.T_cl,
+            scales.T_D,
+            scales.T_R,
+            scales.omega_c,
+            scales.omega_zb,
+            scales.T_cl * TIME_UNIT_SECONDS,
+            scales.T_D * TIME_UNIT_SECONDS,
+            scales.T_R * TIME_UNIT_SECONDS,
+            scales.omega_zb / TIME_UNIT_SECONDS,
+            scales.B_tesla,
         ]
-        _write_artifact(path, header, columns, rows, timestamp)
+        _write_table(path, header, columns, values, timestamp)
         return path
 
     if scn.name in ("velocity", "spin-trace", "jc-velocity", "jc-spin", "cat"):
         taus, echo = _time_axis(scn, scales)
         header += echo
         if scn.name == "velocity":
-            fn = lambda t: tuple(
-                float(v) for v in np.concatenate(mean_velocity_positive(t, params))
-            )
+            values = mean_velocity_positive(taus, params)
             columns = ["tau_lambda_over_c", "vx_c", "vy_c"]
         elif scn.name == "spin-trace":
-            fn = lambda t: tuple(
-                float(v) for v in np.concatenate(mean_spin_transverse(t, params))
-            )
+            values = mean_spin_transverse(taus, params)
             columns = ["tau_lambda_over_c", "Sx_hbar_over_2", "Sy_hbar_over_2"]
         elif scn.name == "jc-velocity":
-            fn = lambda t: tuple(
-                float(v) for v in np.concatenate(mean_velocity_jc(t, params))
-            )
+            values = mean_velocity_jc(taus, params)
             columns = ["tau_lambda_over_c", "vx_c", "vy_c"]
         elif scn.name == "jc-spin":
             header.append(("Sz_plateau_hbar_over_2", fmt(spin_z_plateau_jc(params))))
-            fn = lambda t: (float(mean_spin_z_jc(t, params)[0]),)
+            values = (mean_spin_z_jc(taus, params),)
             columns = ["tau_lambda_over_c", "Sz_hbar_over_2"]
         else:  # cat
             header.append(
                 ("overlap_quarter_period", fmt(cat_overlap_closed_form(params)))
             )
-            fn = lambda t: (cat_decomposition(t, params)[2],)
+            values = ([cat_decomposition(t, params)[2] for t in taus.tolist()],)
             columns = ["tau_lambda_over_c", "spin_factor_overlap"]
-        results = _sweep(fn, taus, threads)
-        rows = [(float(t),) + r for t, r in zip(taus, results)]
-        _write_artifact(path, header, columns, rows, timestamp)
+        _write_table(path, header, columns, (taus, *values), timestamp)
         return path
 
     # map scenarios
@@ -405,12 +421,7 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
             )
         dens = np.sum(np.abs(psi) ** 2, axis=0)
         columns = ["rho_a", "theta_rad", "density_per_a2"]
-        rows = [
-            (float(rr[i, j]), float(tt[i, j]), float(dens[i, j]))
-            for i in range(grid.n_rho)
-            for j in range(grid.n_theta)
-        ]
-        _write_artifact(path, header, columns, rows, timestamp)
+        _write_table(path, header, columns, (rr, tt, dens), timestamp)
         return path
 
     if scn.name == "spin-map":
@@ -418,12 +429,7 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
         header.append(("t", fmt(tau)))
         sx, sy = spin_density(rr, tt, tau, params)
         columns = ["rho_a", "theta_rad", "sigma_x_per_a2", "sigma_y_per_a2"]
-        rows = [
-            (float(rr[i, j]), float(tt[i, j]), float(sx[i, j]), float(sy[i, j]))
-            for i in range(grid.n_rho)
-            for j in range(grid.n_theta)
-        ]
-        _write_artifact(path, header, columns, rows, timestamp)
+        _write_table(path, header, columns, (rr, tt, sx, sy), timestamp)
         return path
 
     if scn.name == "fractional":
@@ -435,12 +441,7 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
         psi = fractional_revival_field(rr, tt, tau, m, n, params)
         dens = np.sum(np.abs(psi) ** 2, axis=0)
         columns = ["rho_a", "theta_rad", "density_per_a2"]
-        rows = [
-            (float(rr[i, j]), float(tt[i, j]), float(dens[i, j]))
-            for i in range(grid.n_rho)
-            for j in range(grid.n_theta)
-        ]
-        _write_artifact(path, header, columns, rows, timestamp)
+        _write_table(path, header, columns, (rr, tt, dens), timestamp)
         return path
 
     raise ConfigError(f"unknown scenario {scn.name!r}")  # pragma: no cover
@@ -621,10 +622,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

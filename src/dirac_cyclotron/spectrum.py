@@ -46,6 +46,9 @@ class ModelParams:
     n_max_override: int | None = None
 
     def __post_init__(self):
+        for name in ("lambda_over_a", "qa", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.lambda_over_a > 0:
             raise ValueError("lambda_over_a must be positive")
         if not self.qa > 0:

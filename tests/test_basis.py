@@ -119,8 +119,17 @@ class TestTruncationWindow:
 
     def test_unattainable_override_raises(self):
         p = ModelParams(lambda_over_a=0.1, qa=10.0, n_max_override=5)
-        with pytest.raises(RuntimeError):
-            truncation_window(p)
+        # a failed window is not cached: every call raises again
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                truncation_window(p)
+
+    def test_window_shared_by_packets_differing_in_weights(self):
+        a = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=1.0, beta=1.0)
+        b = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=0.5, beta=-2.0)
+        assert truncation_window(a) is truncation_window(b)
+        c = ModelParams(lambda_over_a=0.1, qa=5.0, trunc_tol=1e-6)
+        assert truncation_window(c) != truncation_window(a)
 
 
 class TestModeSets:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_cyclotron import ModelParams, derived_scales
+from dirac_cyclotron import ModelParams, cli, derived_scales
 from dirac_cyclotron.cli import (
     ConfigError,
     Scenario,
@@ -29,6 +29,16 @@ alpha = 1
 beta = 1
 t_end = 2*T_cl
 n_samples = 16
+"""
+
+
+DENSITY_MAP = """\
+[density-map]
+lambda_over_a = 0.1
+qa = 5
+alpha = 1
+beta = 1
+t = 0.0
 """
 
 
@@ -199,6 +209,39 @@ class TestExitCodes:
             "m = 2\nn = 4\nn_rho = 10\nn_theta = 8\n"
         )
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GOOD_CONFIG + "trunc_tol = abc\n",
+            GOOD_CONFIG.replace("lambda_over_a = 0.1", "lambda_over_a = inf").replace(
+                "2*T_cl", "10.0"
+            ),
+            DENSITY_MAP + "rho_max = abc\n",
+            DENSITY_MAP + "rho_max = 0\n",
+            DENSITY_MAP + "n_rho = 1\n",
+            DENSITY_MAP + "n_theta = 0\n",
+        ],
+        ids=["trunc_tol", "lambda_over_a", "rho_max", "rho_max_zero", "n_rho", "n_theta"],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "error: config" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_non_finite_payload_is_two(self, tmp_path, capsys, monkeypatch):
+        def nan_velocity(tau, params):
+            tau = np.atleast_1d(tau)
+            return np.full(tau.shape, np.nan), np.zeros(tau.shape)
+
+        monkeypatch.setattr(cli, "mean_velocity_positive", nan_velocity)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "velocity.csv").exists()
 
     def test_io_failure_is_three(self, tmp_path):
         cfg = tmp_path / "run.cfg"

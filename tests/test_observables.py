@@ -189,6 +189,26 @@ class TestTwoBandTraces:
         assert abs(float(np.mean(sz)) - spin_z_plateau_jc(set2)) < 0.01
 
 
+class TestWholeAxisTraces:
+    """One call over a tau array gives the same bits as one call per tau."""
+
+    @pytest.mark.parametrize("set_name", ["set1", "set2"])
+    @pytest.mark.parametrize(
+        "trace",
+        [mean_velocity_positive, mean_spin_transverse, mean_velocity_jc, mean_spin_z_jc],
+        ids=lambda f: f.__name__,
+    )
+    def test_bitwise_equal_to_per_tau_calls(self, trace, set_name, request):
+        params = request.getfixturevalue(set_name)
+        taus = np.linspace(0.0, 1.5 * derived_scales(params).T_R, 5000)
+        whole = np.asarray(trace(taus, params))
+        per_tau = np.concatenate(
+            [np.asarray(trace(t, params)) for t in taus.tolist()], axis=-1
+        )
+        assert whole.shape == per_tau.shape
+        assert np.array_equal(whole, per_tau)
+
+
 class TestQuadrupole:
     def test_trace_identity_and_symmetry(self, set1):
         g = default_grid(set1)
