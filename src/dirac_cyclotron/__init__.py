@@ -55,6 +55,7 @@ from .oracle import (
     OracleField,
     b1_quadrature,
     fidelity,
+    grid_kernel_stack,
     mode_sum_field,
     normalized_fidelity,
     quadrature_expectation,

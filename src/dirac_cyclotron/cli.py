@@ -39,7 +39,13 @@ from .observables import (
     spin_density,
     spin_z_plateau_jc,
 )
-from .oracle import b1_quadrature, mode_sum_field, quadrature_expectation, sample_mode_sum
+from .oracle import (
+    b1_quadrature,
+    grid_kernel_stack,
+    mode_sum_field,
+    quadrature_expectation,
+    sample_mode_sum,
+)
 from .spectrum import TIME_UNIT_SECONDS, DerivedScales, ModelParams, derived_scales
 
 
@@ -240,14 +246,12 @@ def _write_artifact(
     path: Path,
     header: list[tuple[str, str]],
     columns: list[str],
-    rows,
+    lines: list[str],
     timestamp: bool,
 ) -> None:
-    lines = _header_lines(header, timestamp)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(fmt(v) if not isinstance(v, str) else v for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write the provenance header, the column names and the formatted rows."""
+    text = _header_lines(header, timestamp) + [",".join(columns)] + lines
+    path.write_text("\n".join(text) + "\n")
 
 
 def _write_table(
@@ -264,8 +268,24 @@ def _write_table(
     """
     if not all(np.isfinite(v).all() for v in values):
         raise ArithmeticError(f"non-finite value in the {path.name} payload")
+    # "%.17g" % x has the bytes of fmt(x) for every float and for small ints
+    row_format = ",".join(["%.17g"] * len(values))
     rows = zip(*(np.ravel(v).tolist() for v in values), strict=True)
-    _write_artifact(path, header, columns, rows, timestamp)
+    _write_artifact(path, header, columns, [row_format % row for row in rows], timestamp)
+
+
+def _write_validation(path: Path, quick: bool, threads: int, timestamp: bool) -> tuple[list, bool]:
+    """Run ``validation_report`` and write it as the validate artifact."""
+    rows, ok = validation_report(quick=quick, threads=threads)
+    lines = [f"{name},{fmt(dev)},{fmt(thr)},{status}" for name, dev, thr, status in rows]
+    _write_artifact(
+        path,
+        [("scenario", "validate"), ("quick", str(quick).lower())],
+        ["check", "max_abs_deviation", "threshold", "status"],
+        lines,
+        timestamp,
+    )
+    return rows, ok
 
 
 def _sweep(func, taus: np.ndarray, threads: int) -> list:
@@ -323,15 +343,8 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
     """Execute one scenario and write its CSV artifact; returns the path."""
     if scn.name == "validate":
         quick = scn.values.get("quick", "false").lower() in ("1", "true", "yes")
-        rows, ok = validation_report(quick=quick, threads=threads)
         path = out_dir / scn.values.get("output", "validate.csv")
-        _write_artifact(
-            path,
-            [("scenario", "validate"), ("quick", str(quick).lower())],
-            ["check", "max_abs_deviation", "threshold", "status"],
-            rows,
-            timestamp,
-        )
+        _, ok = _write_validation(path, quick, threads, timestamp)
         if not ok:
             raise ArithmeticError("validation deviations exceed thresholds")
         return path
@@ -435,6 +448,10 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
     if scn.name == "fractional":
         m = _get_int(scn, "m")
         n = _get_int(scn, "n")
+        if not 1 <= n <= 8:
+            raise ConfigError(f"fractional revivals are supported for 1 <= n <= 8, got n = {n}")
+        if math.gcd(m, n) != 1:
+            raise ConfigError(f"m/n = {m}/{n} is not an irreducible fraction")
         default_t = f"{m / n}*T_R"
         tau = resolve_time(scn.values.get("t", default_t), scales)
         header += [("m", str(m)), ("n", str(n)), ("t", fmt(tau))]
@@ -478,71 +495,64 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     def record(name: str, dev: float, thr: float):
         rows.append((name, dev, thr, "pass" if dev <= thr else "FAIL"))
 
-    # closed-form fields vs mode sums
+    # closed-form fields vs mode sums; each kernel stack serves every tau
     mode_pos = build_mode_set("positive_only", SET1)
     rr1, tt1 = field_grid1.mesh()
+    kernels1 = grid_kernel_stack(field_grid1, mode_pos, SET1)
     taus = rng.uniform(0.0, 0.5 * sc1.T_R, n_field_times)
 
     def dev_pos(t: float) -> float:
         a = positive_energy_field(rr1, tt1, t, SET1)
-        b = mode_sum_field(rr1, tt1, t, mode_pos, SET1)
+        b = mode_sum_field(rr1, tt1, t, mode_pos, SET1, kernels=kernels1)
         return float(np.max(np.abs(a - b)))
 
     record("field_positive_vs_modesum", max(_sweep(dev_pos, taus, threads)), 1e-8)
 
     mode_jc = build_mode_set("two_band", SET2)
     rr2, tt2 = field_grid2.mesh()
+    kernels2 = grid_kernel_stack(field_grid2, mode_jc, SET2)
     taus = rng.uniform(0.0, 0.5 * sc2.T_R, n_field_times)
 
     def dev_jc(t: float) -> float:
         a = jc_spinor(rr2, tt2, t, SET2)
-        b = mode_sum_field(rr2, tt2, t, mode_jc, SET2)
+        b = mode_sum_field(rr2, tt2, t, mode_jc, SET2, kernels=kernels2)
         return float(np.max(np.abs(a - b)))
 
     record("field_two_band_vs_modesum", max(_sweep(dev_jc, taus, threads)), 1e-8)
 
-    # closed-form observables vs grid quadrature
+    # closed-form observables vs grid quadrature: one oracle field per tau
+    # serves every observable of the packet
     taus1 = rng.uniform(0.0, 0.5 * sc1.T_R, n_obs_times)
     taus2 = rng.uniform(0.0, 0.5 * sc2.T_R, n_obs_times)
 
-    def dev_velocity(t: float) -> float:
-        f = sample_mode_sum(quad_grid1, t, mode_pos, SET1)
-        vx, vy = mean_velocity_positive(t, SET1)
-        return max(
-            abs(float(vx[0]) - quadrature_expectation("velocity_x", f, SET1)),
-            abs(float(vy[0]) - quadrature_expectation("velocity_y", f, SET1)),
-        )
+    def quadrature_checks(grid, modes, params, kernels, taus, checks) -> None:
+        """Record max_tau |closed form - quadrature| for each (name, closed, kinds)."""
 
-    record("velocity_positive_vs_quadrature", max(_sweep(dev_velocity, taus1, threads)), 1e-6)
+        def devs(t: float) -> list[float]:
+            f = sample_mode_sum(grid, t, modes, params, kernels=kernels)
+            return [
+                max(
+                    abs(float(v[0]) - quadrature_expectation(kind, f, params))
+                    for v, kind in zip(closed(t, params), kinds, strict=True)
+                )
+                for _, closed, kinds in checks
+            ]
 
-    def dev_spin(t: float) -> float:
-        f = sample_mode_sum(quad_grid1, t, mode_pos, SET1)
-        sx, sy = mean_spin_transverse(t, SET1)
-        return max(
-            abs(float(sx[0]) - quadrature_expectation("sigma_x", f, SET1)),
-            abs(float(sy[0]) - quadrature_expectation("sigma_y", f, SET1)),
-        )
+        per_check = zip(*_sweep(devs, taus, threads), strict=True)
+        for (name, _, _), check_devs in zip(checks, per_check, strict=True):
+            record(name, max(check_devs), 1e-6)
 
-    record("spin_transverse_vs_quadrature", max(_sweep(dev_spin, taus1, threads)), 1e-6)
-
-    def dev_jc_velocity(t: float) -> float:
-        f = sample_mode_sum(quad_grid2, t, mode_jc, SET2)
-        vx, vy = mean_velocity_jc(t, SET2)
-        return max(
-            abs(float(vx[0]) - quadrature_expectation("velocity_x", f, SET2)),
-            abs(float(vy[0]) - quadrature_expectation("velocity_y", f, SET2)),
-        )
-
-    record("velocity_two_band_vs_quadrature", max(_sweep(dev_jc_velocity, taus2, threads)), 1e-6)
-
-    def dev_jc_spin(t: float) -> float:
-        f = sample_mode_sum(quad_grid2, t, mode_jc, SET2)
-        return abs(
-            float(mean_spin_z_jc(t, SET2)[0])
-            - quadrature_expectation("sigma_z", f, SET2)
-        )
-
-    record("spin_z_two_band_vs_quadrature", max(_sweep(dev_jc_spin, taus2, threads)), 1e-6)
+    quad_kernels1 = grid_kernel_stack(quad_grid1, mode_pos, SET1)
+    quadrature_checks(quad_grid1, mode_pos, SET1, quad_kernels1, taus1, [
+        ("velocity_positive_vs_quadrature", mean_velocity_positive, ("velocity_x", "velocity_y")),
+        ("spin_transverse_vs_quadrature", mean_spin_transverse, ("sigma_x", "sigma_y")),
+    ])
+    quad_kernels2 = grid_kernel_stack(quad_grid2, mode_jc, SET2)
+    quadrature_checks(quad_grid2, mode_jc, SET2, quad_kernels2, taus2, [
+        ("velocity_two_band_vs_quadrature", mean_velocity_jc, ("velocity_x", "velocity_y")),
+        ("spin_z_two_band_vs_quadrature", lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",)),
+    ])
+    del quad_kernels2  # the largest stack; not needed past this point
 
     # conservation
     cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R]
@@ -551,7 +561,7 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     norms = []
     sz = []
     for t in cons_times:
-        f = sample_mode_sum(quad_grid1, t, mode_pos, SET1)
+        f = sample_mode_sum(quad_grid1, t, mode_pos, SET1, kernels=quad_kernels1)
         norms.append(f.norm())
         sz.append(quadrature_expectation("sigma_z", f, SET1))
     record("norm_drift", max(abs(v - 1.0) for v in norms), 1e-6)
@@ -595,15 +605,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
-            rows, ok = validation_report(quick=args.quick, threads=args.threads)
             args.out.mkdir(parents=True, exist_ok=True)
-            path = args.out / "validate.csv"
-            _write_artifact(
-                path,
-                [("scenario", "validate"), ("quick", str(args.quick).lower())],
-                ["check", "max_abs_deviation", "threshold", "status"],
-                rows,
-                not args.no_timestamp,
+            rows, ok = _write_validation(
+                args.out / "validate.csv", args.quick, args.threads, not args.no_timestamp
             )
             for name, dev, thr, status in rows:
                 print(f"{status:4s}  {name}  max|dev|={dev:.3e}  thr={thr:.0e}")

@@ -330,14 +330,17 @@ def sz_conservation_check(times, mode_set, params: ModelParams, grid: PolarGrid 
     drift measures quadrature error.  Returns max_t |S_z(t) - S_z(t_0)|.
     """
     from .fields import default_grid
-    from .oracle import quadrature_expectation, sample_mode_sum
+    from .oracle import grid_kernel_stack, quadrature_expectation, sample_mode_sum
 
     if grid is None:
         grid = default_grid(params)
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    kernels = grid_kernel_stack(grid, mode_set, params)
     values = [
         quadrature_expectation(
-            "sigma_z", sample_mode_sum(grid, float(t), mode_set, params), params
+            "sigma_z",
+            sample_mode_sum(grid, float(t), mode_set, params, kernels=kernels),
+            params,
         )
         for t in times
     ]

@@ -10,6 +10,7 @@ correctness property.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,25 +41,38 @@ def mode_sum_field(
     mode_set: ModeSet,
     params: ModelParams,
     spectrum_variant: str = "exact",
+    *,
+    kernels: np.ndarray | None = None,
 ) -> np.ndarray:
     """Brute-force field: sum amplitude * spinor(n) * exp(-i s phi_n tau).
 
     The spinor of mode (n, s, lambda_k) places d_n/b_n-weighted kernels
-    Q_{n-1}, Q_n in the two components selected by lambda_k.
+    Q_{n-1}, Q_n in the two components selected by lambda_k.  The kernels
+    do not depend on tau: ``kernels`` may pass in a ``q_kernel_stack`` of at
+    least ``mode_set.n_max + 1`` orders built on these points (see
+    ``grid_kernel_stack``), shared read-only across calls; by default the
+    stack is built here.
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rho, theta = np.broadcast_arrays(rho, theta)
-    x, y = polar_to_xy(rho, theta, params)
     n_max = mode_set.n_max
-    q = q_kernel_stack(n_max, x, y, params)
+    q = kernels
+    if q is None:
+        x, y = polar_to_xy(rho, theta, params)
+        q = q_kernel_stack(n_max, x, y, params)
+    elif q.shape[0] <= n_max or q.shape[1:] != rho.shape:
+        raise ValueError(
+            f"kernel stack of shape {q.shape} does not cover orders 0..{n_max} "
+            f"on points of shape {rho.shape}"
+        )
     energies = _mode_energies(n_max, params, spectrum_variant)
+    d_all, b_all = (c.tolist() for c in branch_coefficients(np.arange(n_max + 1), params))
 
     acc = [KahanAccumulator(np.zeros(rho.shape, dtype=complex)) for _ in range(4)]
     for idx, amp in mode_set.entries:
         n, s, lam = idx.n, idx.s, idx.lambda_k
-        d, b = branch_coefficients(n, params)
-        d, b = float(d), float(b)
+        d, b = d_all[n], b_all[n]
         ph = amp * np.exp(-1j * s * energies[n] * tau)
         q_lo = q[n - 1] if n >= 1 else None  # Q_{n-1}; absent only when b_n = 0
         if lam == +1:
@@ -101,10 +115,26 @@ def sample_mode_sum(
     mode_set: ModeSet,
     params: ModelParams,
     spectrum_variant: str = "exact",
+    *,
+    kernels: np.ndarray | None = None,
 ) -> OracleField:
     rr, tt = grid.mesh()
-    samples = mode_sum_field(rr, tt, tau, mode_set, params, spectrum_variant)
+    samples = mode_sum_field(rr, tt, tau, mode_set, params, spectrum_variant, kernels=kernels)
     return OracleField(grid=grid, samples=samples, tau=tau, spectrum_variant=spectrum_variant)
+
+
+def grid_kernel_stack(grid: PolarGrid, mode_set: ModeSet, params: ModelParams) -> np.ndarray:
+    """The tau-independent kernels Q_0..Q_{n_max} of ``mode_set`` on the grid.
+
+    Built exactly as ``mode_sum_field`` builds them, so passing the result as
+    ``kernels=`` to ``mode_sum_field`` on ``grid.mesh()`` or to
+    ``sample_mode_sum`` on ``grid`` leaves every sample unchanged.  The
+    stack is read-only, so threads may share it.
+    """
+    x, y = polar_to_xy(*grid.mesh(), params)
+    stack = q_kernel_stack(mode_set.n_max, x, y, params)
+    stack.flags.writeable = False
+    return stack
 
 
 # 4x4 matrices of the one-body operators, basis (psi_1 .. psi_4).
@@ -194,6 +224,17 @@ def hermite_functions(k_max: int, xi) -> np.ndarray:
 _GH_NODES = 200
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use rather than at import: it solves a 200x200 eigenproblem
+    nodes, weights = np.polynomial.hermite.hermgauss(_GH_NODES)
+    # total weights w_i * exp(t_i^2) stay O(node spacing)
+    total_w = weights * np.exp(nodes**2)
+    nodes.flags.writeable = False
+    total_w.flags.writeable = False
+    return nodes, total_w
+
+
 def b1_quadrature(k: int, x: float, y: float, params: ModelParams) -> complex:
     """Numeric p-integral definition of the kernel Q_k (oracle for q_kernel).
 
@@ -203,9 +244,7 @@ def b1_quadrature(k: int, x: float, y: float, params: ModelParams) -> complex:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    nodes, weights = np.polynomial.hermite.hermgauss(_GH_NODES)
-    # total weights w_i * exp(t_i^2) stay O(node spacing)
-    total_w = weights * np.exp(nodes**2)
+    nodes, total_w = _gauss_hermite_rule()
     p = params.qa + nodes
     # integrand: (2 pi)^{-1/2} pi^{-1/4} e^{i p x} e^{-(p-qa)^2/2} h_k(y - p)
     h = hermite_functions(k, y - p)[k]

@@ -1,5 +1,6 @@
 """Config parsing, artifact provenance, scenario execution and exit codes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,11 @@ from dirac_cyclotron.cli import (
     run_scenario,
     validation_report,
 )
+
+# sha256 of the validate.csv that `dirac-cyclotron validate --quick
+# --no-timestamp` writes; reusing kernel stacks and oracle fields across
+# checks must not move a byte of it
+QUICK_VALIDATE_SHA256 = "9c195d6ab8cdb33eee9f1d92e1fc5fe736fb7e3c4c0066a4f8b7fb4be4ef2974"
 
 GOOD_CONFIG = """\
 # sweep of the packet velocity
@@ -201,14 +207,18 @@ class TestExitCodes:
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
         assert "unknown key" in capsys.readouterr().err
 
-    def test_numeric_failure_is_two(self, tmp_path):
-        # reducible revival fraction trips the numeric layer, not the parser
+    @pytest.mark.parametrize(
+        "m, n", [(2, 4), (0, 0), (1, 9)], ids=["reducible", "n_zero", "n_nine"]
+    )
+    def test_bad_fraction_is_config_error(self, tmp_path, capsys, m, n):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "[fractional]\nlambda_over_a=0.1\nqa=5\nalpha=1\nbeta=1\n"
-            "m = 2\nn = 4\nn_rho = 10\nn_theta = 8\n"
+            f"m = {m}\nn = {n}\nn_rho = 10\nn_theta = 8\n"
         )
-        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "error: config" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "config",
@@ -259,6 +269,14 @@ class TestValidation:
         assert "field_positive_vs_modesum" in names
         assert "kernel_quadrature_vs_closed_form" in names
         assert all(r[3] == "pass" for r in rows)
+
+    def test_quick_report_independent_of_threads(self):
+        assert validation_report(quick=True, threads=1) == validation_report(quick=True, threads=2)
+
+    def test_quick_artifact_bytes_pinned(self, tmp_path):
+        assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 0
+        digest = hashlib.sha256((tmp_path / "validate.csv").read_bytes()).hexdigest()
+        assert digest == QUICK_VALIDATE_SHA256
 
     def test_validate_subcommand(self, tmp_path, capsys):
         assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 0

@@ -229,6 +229,20 @@ class TestConservation:
         drift = sz_conservation_check([0.0, sc.T_cl, sc.T_D], ms, set1)
         assert drift < 1e-8
 
+    def test_shared_stack_leaves_drift_unchanged(self, set1):
+        from dirac_cyclotron.oracle import quadrature_expectation, sample_mode_sum
+
+        ms = build_mode_set("positive_only", set1)
+        sc = derived_scales(set1)
+        grid = default_grid(set1)
+        taus = [0.0, sc.T_D, 0.25 * sc.T_R]
+        values = [
+            quadrature_expectation("sigma_z", sample_mode_sum(grid, t, ms, set1), set1)
+            for t in taus
+        ]
+        expected = max(abs(v - values[0]) for v in values)
+        assert sz_conservation_check(taus, ms, set1) == expected
+
     def test_spin_z_varies_for_two_band_packet(self, set2):
         ms = build_mode_set("two_band", set2)
         sc = derived_scales(set2)

@@ -13,6 +13,7 @@ from dirac_cyclotron import (
     build_mode_set,
     derived_scales,
     fidelity,
+    grid_kernel_stack,
     mode_sum_field,
     normalized_fidelity,
     phi,
@@ -71,6 +72,36 @@ class TestSpectrumVariants:
             b = mode_sum_field(rr, tt, tau, ms, set2, "taylor2")
             devs.append(float(np.max(np.abs(a - b))))
         assert devs[0] < devs[1] < devs[2]
+
+
+class TestSharedKernelStack:
+    @pytest.mark.parametrize("variant", ["exact", "taylor2"])
+    @pytest.mark.parametrize("set_name, kind", [("set1", "positive_only"), ("set2", "two_band")])
+    def test_passed_stack_gives_identical_field(self, request, set_name, kind, variant):
+        params = request.getfixturevalue(set_name)
+        grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=30, n_theta=40)
+        rr, tt = grid.mesh()
+        ms = build_mode_set(kind, params)
+        kernels = grid_kernel_stack(grid, ms, params)
+        tau = 0.3 * derived_scales(params).T_R
+        own = mode_sum_field(rr, tt, tau, ms, params, variant)
+        shared = mode_sum_field(rr, tt, tau, ms, params, variant, kernels=kernels)
+        assert np.array_equal(own, shared)
+        sampled = sample_mode_sum(grid, tau, ms, params, variant, kernels=kernels)
+        assert np.array_equal(own, sampled.samples)
+
+    def test_stack_is_read_only(self, set1, grid1):
+        kernels = grid_kernel_stack(grid1, build_mode_set("positive_only", set1), set1)
+        assert not kernels.flags.writeable
+
+    def test_stack_too_short_or_misshapen_rejected(self, set1, grid1):
+        rr, tt = grid1.mesh()
+        ms = build_mode_set("positive_only", set1)
+        kernels = grid_kernel_stack(grid1, ms, set1)
+        with pytest.raises(ValueError, match="kernel stack"):
+            mode_sum_field(rr, tt, 0.0, ms, set1, kernels=kernels[:-1])
+        with pytest.raises(ValueError, match="kernel stack"):
+            mode_sum_field(rr[:, :10], tt[:, :10], 0.0, ms, set1, kernels=kernels)
 
 
 class TestUnitarityAndFidelity:
@@ -169,6 +200,21 @@ class TestKernelQuadrature:
     def test_negative_order_rejected(self, set1):
         with pytest.raises(ValueError):
             b1_quadrature(-1, 0.0, 0.0, set1)
+
+    @pytest.mark.parametrize("k, x, y", [(0, 0.0, 5.0), (3, 1.0, 6.0), (5, -2.0, 3.5), (2, 0.7, 2.0)])
+    def test_cached_rule_keeps_every_bit(self, set2, k, x, y):
+        # the quadrature with the Gauss-Hermite rule derived afresh per call
+        nodes, weights = np.polynomial.hermite.hermgauss(200)
+        total_w = weights * np.exp(nodes**2)
+        p = set2.qa + nodes
+        h = hermite_functions(k, y - p)[k]
+        integrand = (
+            np.exp(1j * p * x) * np.exp(-0.5 * nodes**2) * h
+            / (math.sqrt(2.0 * math.pi) * math.pi**0.25)
+        )
+        fresh = complex(np.sum(total_w * integrand))
+        assert b1_quadrature(k, x, y, set2) == fresh
+        assert b1_quadrature(k, x, y, set2) == fresh
 
 
 class TestTaylorVariantCoefficients:
