@@ -20,8 +20,6 @@ from .basis import (
 )
 from .fields import (
     PolarGrid,
-    PolarPoint,
-    SpinorSample,
     cat_decomposition,
     cat_overlap_closed_form,
     classical_density,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import math
 import re
 import sys
@@ -260,18 +261,28 @@ def _write_table(
     columns: list[str],
     values,
     timestamp: bool,
+    grid: PolarGrid | None = None,
 ) -> None:
     """Write equal-size numeric arrays as artifact columns, one row per element.
 
-    Raises ArithmeticError, before anything is written, if any value is not
-    finite.
+    With ``grid``, every row starts with its rho and theta node: row k holds
+    the k-th point of ``grid.mesh()`` (theta varies fastest), and each axis
+    value is formatted once rather than once per row.  Raises
+    ArithmeticError, before anything is written, if any value is not finite.
     """
-    if not all(np.isfinite(v).all() for v in values):
+    axes = () if grid is None else (grid.rho, grid.theta)
+    if not all(np.isfinite(v).all() for v in (*axes, *values)):
         raise ArithmeticError(f"non-finite value in the {path.name} payload")
     # "%.17g" % x has the bytes of fmt(x) for every float and for small ints
     row_format = ",".join(["%.17g"] * len(values))
     rows = zip(*(np.ravel(v).tolist() for v in values), strict=True)
-    _write_artifact(path, header, columns, [row_format % row for row in rows], timestamp)
+    if grid is None:
+        lines = [row_format % row for row in rows]
+    else:
+        rho, theta = (["%.17g," % a for a in axis.tolist()] for axis in axes)
+        points = itertools.product(rho, theta)
+        lines = [r + t + row_format % row for (r, t), row in zip(points, rows, strict=True)]
+    _write_artifact(path, header, columns, lines, timestamp)
 
 
 def _write_validation(path: Path, quick: bool, threads: int, timestamp: bool) -> tuple[list, bool]:
@@ -413,6 +424,7 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
     grid = _build_grid(scn, params)
     header += _grid_header(grid)
     rr, tt = grid.mesh()
+    columns = ["rho_a", "theta_rad"]
 
     if scn.name == "density-map":
         packet = scn.values.get("packet", "positive")
@@ -433,16 +445,15 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
                 rr, tt, tau, build_mode_set(kind, params), params, "taylor2"
             )
         dens = np.sum(np.abs(psi) ** 2, axis=0)
-        columns = ["rho_a", "theta_rad", "density_per_a2"]
-        _write_table(path, header, columns, (rr, tt, dens), timestamp)
+        _write_table(path, header, columns + ["density_per_a2"], (dens,), timestamp, grid)
         return path
 
     if scn.name == "spin-map":
         tau = resolve_time(scn.values["t"], scales)
         header.append(("t", fmt(tau)))
         sx, sy = spin_density(rr, tt, tau, params)
-        columns = ["rho_a", "theta_rad", "sigma_x_per_a2", "sigma_y_per_a2"]
-        _write_table(path, header, columns, (rr, tt, sx, sy), timestamp)
+        columns += ["sigma_x_per_a2", "sigma_y_per_a2"]
+        _write_table(path, header, columns, (sx, sy), timestamp, grid)
         return path
 
     if scn.name == "fractional":
@@ -457,8 +468,7 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
         header += [("m", str(m)), ("n", str(n)), ("t", fmt(tau))]
         psi = fractional_revival_field(rr, tt, tau, m, n, params)
         dens = np.sum(np.abs(psi) ** 2, axis=0)
-        columns = ["rho_a", "theta_rad", "density_per_a2"]
-        _write_table(path, header, columns, (rr, tt, dens), timestamp)
+        _write_table(path, header, columns + ["density_per_a2"], (dens,), timestamp, grid)
         return path
 
     raise ConfigError(f"unknown scenario {scn.name!r}")  # pragma: no cover
@@ -558,12 +568,12 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R]
     if quick:
         cons_times = cons_times[:2]
-    norms = []
-    sz = []
-    for t in cons_times:
+
+    def conservation(t: float) -> tuple[float, float]:
         f = sample_mode_sum(quad_grid1, t, mode_pos, SET1, kernels=quad_kernels1)
-        norms.append(f.norm())
-        sz.append(quadrature_expectation("sigma_z", f, SET1))
+        return f.norm(), quadrature_expectation("sigma_z", f, SET1)
+
+    norms, sz = zip(*_sweep(conservation, cons_times, threads), strict=True)
     record("norm_drift", max(abs(v - 1.0) for v in norms), 1e-6)
     record("spin_z_conservation_positive", max(abs(v - sz[0]) for v in sz), 1e-8)
 

@@ -9,46 +9,14 @@ truncation window in ascending order with compensated accumulation.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import KahanAccumulator, TruncationWindow, truncation_window
 from .spectrum import ModelParams, branch_coefficients, phi, taylor_at
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """A point of the guiding-centre polar frame (rho in a, theta in rad)."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be non-negative")
-
-
-@dataclass(frozen=True)
-class SpinorSample:
-    """Four complex bispinor components at one space-time point (units 1/a)."""
-
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
-
-    @classmethod
-    def from_array(cls, a) -> "SpinorSample":
-        return cls(complex(a[0]), complex(a[1]), complex(a[2]), complex(a[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3, self.c4])
-
-    @property
-    def density(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.as_array()))
 
 
 @dataclass(frozen=True)
@@ -75,11 +43,18 @@ class PolarGrid:
         return np.meshgrid(self.rho, self.theta, indexing="ij")
 
     def weights(self) -> np.ndarray:
+        """The quadrature weights, built once per grid and read-only."""
+        return self._weights
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
         d_rho = self.rho_max / (self.n_rho - 1)
         w_rho = np.full(self.n_rho, d_rho)
         w_rho[0] = w_rho[-1] = 0.5 * d_rho
         d_theta = 2.0 * math.pi / self.n_theta
-        return np.outer(self.rho * w_rho, np.full(self.n_theta, d_theta))
+        out = np.outer(self.rho * w_rho, np.full(self.n_theta, d_theta))
+        out.flags.writeable = False
+        return out
 
     def integrate(self, values) -> np.ndarray | float | complex:
         out = np.einsum("...ij,ij->...", np.asarray(values), self.weights())

@@ -166,39 +166,37 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
     x = -0.5 * qa * rho  # real, <= 0
     e_pth = np.exp(1j * theta)
 
-    def power_term(m: int) -> np.ndarray:
-        # x^m / m! elementwise, via logs (x <= 0)
-        if m == 0:
-            return np.ones_like(x)
-        mag = np.abs(x)
-        with np.errstate(divide="ignore"):
-            lg = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-        out = np.exp(m * lg - math.lgamma(m + 1))
-        return np.where(mag > 0, ((-1.0) ** m) * out, 0.0)
+    # x^m / m! elementwise via logs (x <= 0); mag and lg do not depend on m
+    mag = np.abs(x)
+    with np.errstate(divide="ignore"):
+        lg = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
 
     shape = rho.shape
     s_a1 = KahanAccumulator(np.zeros(shape, dtype=complex))
     s_a2 = KahanAccumulator(np.zeros(shape, dtype=complex))
     s_b1 = KahanAccumulator(np.zeros(shape, dtype=complex))
     s_b2 = KahanAccumulator(np.zeros(shape, dtype=complex))
-    for m in range(win.n_min - 1, win.n_max):
-        base = power_term(m) * e_pth**m
-        s_a1.add(base * math.sqrt((p[m + 1] + 1.0) / p[m + 1]) * np.exp(1j * p[m + 1] * tau))
-        s_a2.add(base * math.sqrt((p[m] + 1.0) / p[m]) * np.exp(1j * p[m] * tau))
-    for m in range(max(0, win.n_min - 2), win.n_max - 1):
-        s_b1.add(
-            power_term(m)
-            * e_pth**m
-            * math.sqrt((p[m + 1] - 1.0) / ((m + 1) * p[m + 1]))
-            * np.exp(1j * p[m + 1] * tau)
-        )
-    for n in range(win.n_min, win.n_max + 1):
-        s_b2.add(
-            power_term(n)
-            * e_pth**n
-            * math.sqrt(n * (p[n] - 1.0) / p[n])
-            * np.exp(1j * p[n] * tau)
-        )
+    # One ascending pass builds each level's base term once and feeds it to
+    # every sum whose window holds m, so each sum still sees its own terms in
+    # ascending order.  Only one base array is alive at a time.
+    for m in range(max(0, win.n_min - 2), win.n_max + 1):
+        if m == 0:
+            pw = np.ones_like(x)
+        else:
+            out = np.exp(m * lg - math.lgamma(m + 1))
+            pw = np.where(mag > 0, ((-1.0) ** m) * out, 0.0)
+        base = pw * e_pth**m
+        if win.n_min - 1 <= m < win.n_max:
+            s_a1.add(base * math.sqrt((p[m + 1] + 1.0) / p[m + 1]) * np.exp(1j * p[m + 1] * tau))
+            s_a2.add(base * math.sqrt((p[m] + 1.0) / p[m]) * np.exp(1j * p[m] * tau))
+        if m < win.n_max - 1:
+            s_b1.add(
+                base
+                * math.sqrt((p[m + 1] - 1.0) / ((m + 1) * p[m + 1]))
+                * np.exp(1j * p[m + 1] * tau)
+            )
+        if m >= win.n_min:
+            s_b2.add(base * math.sqrt(m * (p[m] - 1.0) / p[m]) * np.exp(1j * p[m] * tau))
     pref = (
         params.alpha
         * params.beta

@@ -98,7 +98,11 @@ def mode_sum_field(
 
 @dataclass(frozen=True)
 class OracleField:
-    """A mode-sum field sampled on a polar grid at one time."""
+    """A mode-sum field sampled on a polar grid at one time.
+
+    The samples are taken as fixed once the field exists, so its grid norm
+    is computed once.
+    """
 
     grid: PolarGrid
     samples: np.ndarray  # shape (4, n_rho, n_theta)
@@ -106,6 +110,10 @@ class OracleField:
     spectrum_variant: str = "exact"
 
     def norm(self) -> float:
+        return self._norm
+
+    @functools.cached_property
+    def _norm(self) -> float:
         return float(self.grid.integrate(np.abs(self.samples) ** 2).sum())
 
 
@@ -120,6 +128,7 @@ def sample_mode_sum(
 ) -> OracleField:
     rr, tt = grid.mesh()
     samples = mode_sum_field(rr, tt, tau, mode_set, params, spectrum_variant, kernels=kernels)
+    samples.flags.writeable = False
     return OracleField(grid=grid, samples=samples, tau=tau, spectrum_variant=spectrum_variant)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_cyclotron import ModelParams, cli, derived_scales
+from dirac_cyclotron import ModelParams, PolarGrid, cli, derived_scales
 from dirac_cyclotron.cli import (
     ConfigError,
     Scenario,
@@ -46,6 +46,31 @@ alpha = 1
 beta = 1
 t = 0.0
 """
+
+
+SMALL_SPIN_MAP = """\
+[spin-map]
+lambda_over_a = 0.1
+qa = 5
+alpha = 1
+beta = 1
+t = 0.0
+rho_max = 2.5
+n_rho = 6
+n_theta = 5
+"""
+
+
+def fake_spin_density(sx_value):
+    """A spin_density stand-in: sx_value at the first point, signed zeros and
+    tiny values elsewhere."""
+
+    def spin_density(rho, theta, tau, params):
+        sx = np.where(np.arange(rho.size).reshape(rho.shape) % 2, -0.0, 5e-324)
+        sx.flat[0] = sx_value
+        return sx, -rho * np.sin(theta) / 3.0
+
+    return spin_density
 
 
 class TestFmt:
@@ -191,6 +216,21 @@ class TestScenarios:
         ) == 0
         assert (out_a / "velocity.csv").read_bytes() == (out_b / "velocity.csv").read_bytes()
 
+    def test_map_axes_match_per_row_formatting(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "spin_density", fake_spin_density(-0.0))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_SPIN_MAP)
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
+        body = (tmp_path / "spin-map.csv").read_text().splitlines()[-6 * 5:]
+        rr, tt = PolarGrid(rho_max=2.5, n_rho=6, n_theta=5).mesh()
+        sx, sy = fake_spin_density(-0.0)(rr, tt, 0.0, None)
+        expected = [
+            ",".join(format(v, ".17g") for v in row)
+            for row in zip(*(a.ravel().tolist() for a in (rr, tt, sx, sy)))
+        ]
+        assert body == expected
+        assert body[0].split(",")[2] == "-0"
+
     def test_fractional_scenario_runs(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -252,6 +292,14 @@ class TestExitCodes:
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "velocity.csv").exists()
+
+    def test_non_finite_map_payload_is_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "spin_density", fake_spin_density(np.inf))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_SPIN_MAP)
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "spin-map.csv").exists()
 
     def test_io_failure_is_three(self, tmp_path):
         cfg = tmp_path / "run.cfg"

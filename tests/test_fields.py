@@ -28,7 +28,7 @@ from dirac_cyclotron import (
     polar_to_xy,
     positive_energy_field,
 )
-from dirac_cyclotron.fields import PolarPoint, SpinorSample, envelope_prefactor
+from dirac_cyclotron.fields import envelope_prefactor
 from dirac_cyclotron.spectrum import taylor_at
 
 
@@ -61,15 +61,6 @@ class TestPolarGrid:
         x, y = polar_to_xy(p.qa, math.pi, p)
         assert float(x) == pytest.approx(0.0, abs=1e-12)
         assert float(y) == pytest.approx(0.0, abs=1e-12)
-
-    def test_polar_point_validation(self):
-        with pytest.raises(ValueError):
-            PolarPoint(rho=-1.0, theta=0.0)
-
-    def test_spinor_sample_roundtrip(self):
-        s = SpinorSample(1 + 0j, 0j, 1j, 0.5 + 0j)
-        np.testing.assert_allclose(SpinorSample.from_array(s.as_array()).as_array(), s.as_array())
-        assert s.density == pytest.approx(2.25)
 
 
 class TestClosedFormVsModeSum:

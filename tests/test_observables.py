@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dirac_cyclotron import (
+    KahanAccumulator,
     ModelParams,
     TimeSeries,
     build_mode_set,
@@ -25,9 +26,67 @@ from dirac_cyclotron import (
     spin_density_half_revival,
     spin_z_plateau_jc,
     sz_conservation_check,
+    truncation_window,
 )
 from dirac_cyclotron.fields import PolarGrid
-from dirac_cyclotron.spectrum import taylor_at
+from dirac_cyclotron.spectrum import phi, taylor_at
+
+
+def spin_density_three_loops(rho, theta, tau, params):
+    """Reference: spin_density with one loop per sum, rebuilding each level term."""
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    rho, theta = np.broadcast_arrays(rho, theta)
+    qa = params.qa
+    win = truncation_window(params)
+    p = np.asarray(phi(np.arange(win.n_max + 2), params))
+    x = -0.5 * qa * rho  # real, <= 0
+    e_pth = np.exp(1j * theta)
+
+    def power_term(m: int) -> np.ndarray:
+        # x^m / m! elementwise, via logs (x <= 0)
+        if m == 0:
+            return np.ones_like(x)
+        mag = np.abs(x)
+        with np.errstate(divide="ignore"):
+            lg = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
+        out = np.exp(m * lg - math.lgamma(m + 1))
+        return np.where(mag > 0, ((-1.0) ** m) * out, 0.0)
+
+    shape = rho.shape
+    s_a1 = KahanAccumulator(np.zeros(shape, dtype=complex))
+    s_a2 = KahanAccumulator(np.zeros(shape, dtype=complex))
+    s_b1 = KahanAccumulator(np.zeros(shape, dtype=complex))
+    s_b2 = KahanAccumulator(np.zeros(shape, dtype=complex))
+    for m in range(win.n_min - 1, win.n_max):
+        base = power_term(m) * e_pth**m
+        s_a1.add(base * math.sqrt((p[m + 1] + 1.0) / p[m + 1]) * np.exp(1j * p[m + 1] * tau))
+        s_a2.add(base * math.sqrt((p[m] + 1.0) / p[m]) * np.exp(1j * p[m] * tau))
+    for m in range(max(0, win.n_min - 2), win.n_max - 1):
+        s_b1.add(
+            power_term(m)
+            * e_pth**m
+            * math.sqrt((p[m + 1] - 1.0) / ((m + 1) * p[m + 1]))
+            * np.exp(1j * p[m + 1] * tau)
+        )
+    for n in range(win.n_min, win.n_max + 1):
+        s_b2.add(
+            power_term(n)
+            * e_pth**n
+            * math.sqrt(n * (p[n] - 1.0) / p[n])
+            * np.exp(1j * p[n] * tau)
+        )
+    pref = (
+        params.alpha
+        * params.beta
+        / params.weight_norm**2
+        * np.exp(-0.5 * (qa**2 + rho**2))
+        / (2.0 * math.pi)
+    )
+    s = pref * (
+        s_a1.total * np.conj(s_a2.total) + s_b1.total * np.conj(s_b2.total)
+    )
+    return s.real, s.imag
 
 
 class TestMeanVelocityPositive:
@@ -148,6 +207,28 @@ class TestSpinDensity:
         ang_exact = math.atan2(g.integrate(sy), g.integrate(sx))
         ang_classical = math.atan2(g.integrate(cy), g.integrate(cx))
         assert abs(ang_exact - ang_classical) < 0.05
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(lambda_over_a=0.1, qa=5.0),
+            ModelParams(lambda_over_a=0.5, qa=10.0),
+            ModelParams(lambda_over_a=0.1, qa=1.0),
+            ModelParams(lambda_over_a=0.5, qa=10.0, alpha=1.5, beta=0.5),
+        ],
+        ids=["set1", "set2", "qa1", "alpha_ne_beta"],
+    )
+    @pytest.mark.parametrize("frac", [0.0, 0.13, 0.75], ids=lambda f: f"{f}T_R")
+    def test_bitwise_equal_to_three_loop_reference(self, params, frac):
+        # the qa=1 and SET1 windows start at n_min = 1, so the m = 0 level and
+        # the max(0, n_min - 2) start of the b1 sum both run
+        g = default_grid(params, n_rho=40, n_theta=64)
+        rr, tt = g.mesh()
+        tau = frac * derived_scales(params).T_R
+        got = np.stack(spin_density(rr, tt, tau, params))
+        want = np.stack(spin_density_three_loops(rr, tt, tau, params))
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
     def test_half_revival_map_splits_weight(self, set1):
         # two counter-posed blobs, each carrying half the single-blob peak

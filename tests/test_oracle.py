@@ -112,6 +112,16 @@ class TestUnitarityAndFidelity:
             f = sample_mode_sum(grid1, tau, ms, set1)
             assert f.norm() == pytest.approx(1.0, abs=1e-7)
 
+    def test_norm_and_weights_built_once(self, set1, grid1):
+        ms = build_mode_set("positive_only", set1)
+        f = sample_mode_sum(grid1, 0.0, ms, set1)
+        direct = float(np.einsum("kij,ij->", np.abs(f.samples) ** 2, grid1.weights()))
+        assert f.norm() == pytest.approx(direct, rel=1e-14)
+        assert f.norm() is f.norm()
+        assert grid1.weights() is grid1.weights()
+        assert not grid1.weights().flags.writeable
+        assert not f.samples.flags.writeable
+
     def test_self_fidelity(self, set1, grid1):
         ms = build_mode_set("positive_only", set1)
         f = sample_mode_sum(grid1, 11.0, ms, set1)
