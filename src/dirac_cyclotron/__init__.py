@@ -8,12 +8,13 @@ an independent brute-force mode-sum engine.
 
 from .basis import (
     KahanAccumulator,
+    LevelTable,
     ModeSet,
     TruncationWindow,
     build_mode_set,
     coherent_coefficient,
-    coherent_coefficients,
     kahan_sum,
+    levels,
     q_kernel,
     q_kernel_stack,
     truncation_window,
@@ -34,7 +35,6 @@ from .fields import (
     positive_energy_field,
 )
 from .observables import (
-    TimeSeries,
     collapse_envelope,
     mean_spin_transverse,
     mean_spin_z_jc,

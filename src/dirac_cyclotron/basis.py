@@ -1,5 +1,6 @@
 """Shared expansion machinery: coherent weights, the p-integrated kernel
-Q_k, truncation control and mode-set construction.
+Q_k, truncation control, the per-packet level table and mode-set
+construction.
 
 A packet is represented as a ``ModeSet``: a list of (ModeIndex, amplitude)
 pairs in the energy eigenbasis, truncated so that the dropped coherent-weight
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ModeIndex, ModelParams, branch_coefficients
+from .spectrum import ModeIndex, ModelParams, branch_coefficients, phi
 
 
 class KahanAccumulator:
@@ -71,18 +72,6 @@ def coherent_coefficient(n: int, qa: float) -> float:
     )
     sign = -1.0 if k % 2 else 1.0
     return sign * math.exp(log_mag)
-
-
-def coherent_coefficients(n_max: int, qa: float) -> np.ndarray:
-    """Vector [c_1 .. c_n_max] (index i holds c_{i+1})."""
-    k = np.arange(n_max, dtype=float)
-    log_mag = (
-        -0.25 * qa**2
-        + k * math.log(qa)
-        - 0.5 * (k * math.log(2.0) + np.array([math.lgamma(x + 1) for x in k]))
-    )
-    sign = np.where(np.arange(n_max) % 2, -1.0, 1.0)
-    return sign * np.exp(log_mag)
 
 
 def momentum_profile(p, params: ModelParams):
@@ -157,11 +146,11 @@ class TruncationWindow:
         return np.arange(self.n_min, self.n_max + 1)
 
 
-def _log_weight_sq(k: np.ndarray, qa: float) -> np.ndarray:
+def _log_weight_sq(k: int, qa: float) -> float:
     # log c_{k}^2 = Poisson log-pmf at k-1 with mean (qa)^2/2
     lam = 0.5 * qa**2
     j = k - 1
-    return -lam + j * math.log(lam) - np.array([math.lgamma(x + 1) for x in j])
+    return -lam + j * math.log(lam) - math.lgamma(j + 1)
 
 
 def truncation_window(params: ModelParams) -> TruncationWindow:
@@ -170,40 +159,67 @@ def truncation_window(params: ModelParams) -> TruncationWindow:
     Grown greedily outwards from the weight peak, always absorbing the
     boundary with the larger mass (the Poisson weights are right-skewed, so
     the window comes out asymmetric around n0 + 1).  The window depends only
-    on (qa, trunc_tol, n_max_override) and is cached on those, so packets
-    that differ only in alpha/beta or lambda_over_a share one instance.
+    on (qa, trunc_tol) and is cached on those, so packets that differ only
+    in alpha/beta or lambda_over_a share one instance.
     """
-    return _window(params.qa, params.trunc_tol, params.n_max_override)
+    return _window(params.qa, params.trunc_tol)
 
 
 @functools.lru_cache(maxsize=256)
-def _window(qa: float, trunc_tol: float, hard_max: int | None) -> TruncationWindow:
+def _window(qa: float, trunc_tol: float) -> TruncationWindow:
     lam = 0.5 * qa**2
     peak = max(1, int(math.floor(lam)) + 1)
     lo = hi = peak
-    covered = math.exp(float(_log_weight_sq(np.array([peak]), qa)[0]))
+    covered = math.exp(_log_weight_sq(peak, qa))
     while 1.0 - covered >= trunc_tol:
-        w_lo = (
-            math.exp(float(_log_weight_sq(np.array([lo - 1]), qa)[0]))
-            if lo > 1
-            else -1.0
-        )
-        w_hi = math.exp(float(_log_weight_sq(np.array([hi + 1]), qa)[0]))
-        grow_hi = w_hi >= w_lo
-        if hard_max is not None and hi + 1 > hard_max:
-            grow_hi = False
-        if grow_hi:
+        w_lo = math.exp(_log_weight_sq(lo - 1, qa)) if lo > 1 else -1.0
+        w_hi = math.exp(_log_weight_sq(hi + 1, qa))
+        if w_hi >= w_lo:
             hi += 1
             covered += w_hi
-        elif lo > 1:
+        else:
             lo -= 1
             covered += w_lo
-        else:
-            raise RuntimeError(
-                f"trunc_tol={trunc_tol:g} unattainable with "
-                f"n_max_override={hard_max}"
-            )
     return TruncationWindow(lo, hi)
+
+
+@dataclass(frozen=True, eq=False)
+class LevelTable:
+    """Per-level data of one packet: the window and every level it touches.
+
+    ``phi``, ``d`` and ``b`` are read-only vectors of phi_n and the branch
+    factors (d_n, b_n) over n = 0 .. n_max + 1; the level above the window
+    serves the series that couple neighbouring levels.  ``c[k]`` is the
+    coherent weight c_k for k = 1 .. n_max + 1 (``c[0]`` is 0.0, as the
+    weights are 1-indexed), each from the scalar ``coherent_coefficient``.
+    """
+
+    window: TruncationWindow
+    phi: np.ndarray
+    d: np.ndarray
+    b: np.ndarray
+    c: tuple[float, ...]
+
+
+def levels(params: ModelParams) -> LevelTable:
+    """The level table of a packet, cached on (lambda_over_a, qa, trunc_tol).
+
+    Packets that differ only in alpha/beta share one table.
+    """
+    return _levels(params.lambda_over_a, params.qa, params.trunc_tol)
+
+
+@functools.lru_cache(maxsize=256)
+def _levels(lambda_over_a: float, qa: float, trunc_tol: float) -> LevelTable:
+    params = ModelParams(lambda_over_a=lambda_over_a, qa=qa, trunc_tol=trunc_tol)
+    win = truncation_window(params)
+    n = np.arange(win.n_max + 2)
+    p = phi(n, params)
+    d, b = branch_coefficients(n, params)
+    for a in (p, d, b):
+        a.flags.writeable = False
+    c = (0.0,) + tuple(coherent_coefficient(k, qa) for k in range(1, win.n_max + 2))
+    return LevelTable(win, p, d, b, c)
 
 
 @dataclass(frozen=True)
@@ -243,44 +259,34 @@ def build_mode_set(kind: str, params: ModelParams) -> ModeSet:
     """
     if kind not in MODE_SET_KINDS:
         raise ValueError(f"unknown mode-set kind {kind!r}")
-    win = truncation_window(params)
-    qa = params.qa
-    c = {k: coherent_coefficient(k, qa) for k in range(win.n_min, win.n_max + 1)}
+    table = levels(params)
+    win, c = table.window, table.c
+    d, b = table.d.tolist(), table.b.tolist()  # plain floats: amplitudes stay floats
+    ks = range(win.n_min, win.n_max + 1)
     entries: list[tuple[ModeIndex, complex]] = []
 
     if kind == "positive_only":
         norm = params.weight_norm
-        for k in win.indices:
-            k = int(k)
+        for k in ks:
             # lambda_k = -1 branch: mode n = k - 1, weight beta c_k
             if params.beta != 0.0:
-                entries.append(
-                    (ModeIndex(k - 1, +1, -1), params.beta * c[k] / norm)
-                )
+                entries.append((ModeIndex(k - 1, +1, -1), params.beta * c[k] / norm))
             # lambda_k = +1 branch: mode n = k, weight alpha c_k
-            if params.alpha != 0.0 and k >= 1:
+            if params.alpha != 0.0:
                 entries.append((ModeIndex(k, +1, +1), params.alpha * c[k] / norm))
     elif kind == "two_band":
-        for k in win.indices:
-            k = int(k)
-            d, b = branch_coefficients(k, params)
-            entries.append((ModeIndex(k, +1, +1), c[k] * float(d)))
-            entries.append((ModeIndex(k, -1, +1), c[k] * float(b)))
+        for k in ks:
+            entries.append((ModeIndex(k, +1, +1), c[k] * d[k]))
+            entries.append((ModeIndex(k, -1, +1), c[k] * b[k]))
     else:
-        d0, b0 = branch_coefficients(params.n0, params)
-        d0, b0 = float(d0), float(b0)
-        for k in win.indices:
-            n = int(k)
-            d, b = branch_coefficients(n, params)
-            d, b = float(d), float(b)
-            cn = c[n]
-            cn1 = c.get(n + 1, coherent_coefficient(n + 1, qa))
+        d0, b0 = d[params.n0], b[params.n0]
+        for n in ks:
             if kind == "cat_plus":
-                a_pos = cn * d0 * d - cn1 * b0 * b
-                a_neg = cn * d0 * b + cn1 * b0 * d
+                a_pos = c[n] * d0 * d[n] - c[n + 1] * b0 * b[n]
+                a_neg = c[n] * d0 * b[n] + c[n + 1] * b0 * d[n]
             else:
-                a_pos = cn * b0 * d + cn1 * d0 * b
-                a_neg = cn * b0 * b - cn1 * d0 * d
+                a_pos = c[n] * b0 * d[n] + c[n + 1] * d0 * b[n]
+                a_neg = c[n] * b0 * b[n] - c[n + 1] * d0 * d[n]
             entries.append((ModeIndex(n, +1, +1), a_pos))
             entries.append((ModeIndex(n, -1, +1), a_neg))
 

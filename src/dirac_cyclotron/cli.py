@@ -61,21 +61,7 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-SCENARIO_NAMES = (
-    "timescales",
-    "velocity",
-    "spin-trace",
-    "density-map",
-    "spin-map",
-    "jc-velocity",
-    "jc-spin",
-    "cat",
-    "fractional",
-    "validate",
-)
-
 _PHYSICS_KEYS = ("lambda_over_a", "qa", "alpha", "beta")
-_TIME_KEYS = ("t_start", "t_end", "n_samples")
 _GRID_KEYS = ("rho_max", "n_rho", "n_theta")
 
 # keys accepted per scenario: (required, optional-with-default)
@@ -97,6 +83,8 @@ _SCENARIO_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     ),
     "validate": ((), ("quick", "output")),
 }
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 @dataclass
@@ -120,7 +108,7 @@ def parse_config(text: str) -> list[Scenario]:
             if not line.endswith("]"):
                 raise ConfigError(f"line {lineno}: malformed section header {line!r}")
             name = line[1:-1].strip()
-            if name not in SCENARIO_NAMES:
+            if name not in _SCENARIO_KEYS:
                 raise ConfigError(f"line {lineno}: unknown scenario {name!r}")
             current = Scenario(name=name, line=lineno)
             scenarios.append(current)
@@ -353,7 +341,11 @@ def _grid_header(grid: PolarGrid) -> list[tuple[str, str]]:
 def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) -> Path:
     """Execute one scenario and write its CSV artifact; returns the path."""
     if scn.name == "validate":
-        quick = scn.values.get("quick", "false").lower() in ("1", "true", "yes")
+        quick = _BOOLEANS.get(scn.values.get("quick", "false").lower())
+        if quick is None:
+            raise ConfigError(
+                f"scenario 'validate': key 'quick' is not a boolean: {scn.values['quick']!r}"
+            )
         path = out_dir / scn.values.get("output", "validate.csv")
         _, ok = _write_validation(path, quick, threads, timestamp)
         if not ok:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KahanAccumulator, TruncationWindow, truncation_window
-from .spectrum import ModelParams, branch_coefficients, phi, taylor_at
+from .basis import KahanAccumulator, levels
+from .spectrum import ModelParams, taylor_at
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,6 @@ def coherent_ground_state(rho, theta, params: ModelParams):
     return envelope_prefactor(rho, theta, params) * np.exp(w)
 
 
-def _window(params: ModelParams, window: TruncationWindow | None) -> TruncationWindow:
-    return window if window is not None else truncation_window(params)
-
-
 def _scaled_power(w: np.ndarray, j: int) -> np.ndarray:
     """w^j / j! elementwise, via log magnitudes (j may be large)."""
     if j <= 0:
@@ -107,9 +103,7 @@ def _scaled_power(w: np.ndarray, j: int) -> np.ndarray:
     return np.where(mag > 0, out, 0.0)
 
 
-def positive_energy_field(
-    rho, theta, tau: float, params: ModelParams, window: TruncationWindow | None = None
-) -> np.ndarray:
+def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
     """Positive-band packet: closed-form series over the truncation window.
 
     Per coherent index k the lambda_k=+1 branch populates components 1 and 4
@@ -117,7 +111,8 @@ def positive_energy_field(
     (Landau index n = k - 1); each carries the exact phase
     exp(-i n theta - i phi_n tau).
     """
-    win = _window(params, window)
+    table = levels(params)
+    win, p, d, b = table.window, table.phi, table.d, table.b
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rho, theta = np.broadcast_arrays(rho, theta)
@@ -131,19 +126,17 @@ def positive_energy_field(
     W_prev = _scaled_power(w, win.n_min - 2) if win.n_min >= 2 else None
     for k in range(win.n_min, win.n_max + 1):
         # lambda_k=+1 branch: Landau index n = k, components 1 and 4
-        d, b = branch_coefficients(k, params)
-        ph = np.exp(-1j * float(phi(k, params)) * tau)
         if al != 0.0:
-            acc[0].add(al * float(d) * W * ph)
-            acc[3].add(-al * float(b) * rho / math.sqrt(2.0 * k) * W * e_mth * ph)
+            ph = np.exp(-1j * p[k] * tau)
+            acc[0].add(al * d[k] * W * ph)
+            acc[3].add(-al * b[k] * rho / math.sqrt(2.0 * k) * W * e_mth * ph)
         # lambda_k=-1 branch: Landau index n = k - 1, components 2 and 3
         if be != 0.0:
             n = k - 1
-            d, b = branch_coefficients(n, params)
-            ph = np.exp(-1j * float(phi(n, params)) * tau)
-            acc[1].add(be * float(d) * W * ph)
+            ph = np.exp(-1j * p[n] * tau)
+            acc[1].add(be * d[n] * W * ph)
             if n >= 1:
-                acc[2].add(be * float(b) * qa / math.sqrt(2.0 * n) * W_prev * ph)
+                acc[2].add(be * b[n] * qa / math.sqrt(2.0 * n) * W_prev * ph)
         W_prev = W
         W = W * w / k
 
@@ -248,15 +241,14 @@ def fractional_revival_field(
     return acc.total
 
 
-def jc_field(
-    rho, theta, tau: float, params: ModelParams, window: TruncationWindow | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def jc_field(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Two-band (Jaynes-Cummings subspace) packet: the pair (Psi1, Psi2).
 
     Written against the common prefactor M rather than psi_c * exp(-w) (the
     two forms are identical; this one avoids cancellation for large w).
     """
-    win = _window(params, window)
+    table = levels(params)
+    win, phis = table.window, table.phi
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rho, theta = np.broadcast_arrays(rho, theta)
@@ -269,7 +261,7 @@ def jc_field(
     n_start = max(1, win.n_min)
     W = _scaled_power(w, n_start - 1)
     for n in range(n_start, win.n_max + 1):
-        p = float(phi(n, params))
+        p = phis[n]
         c_t, s_t = math.cos(p * tau), math.sin(p * tau)
         acc1.add(W * (c_t - 1j * s_t / p))
         acc2.add(W * (s_t / p))
@@ -281,11 +273,9 @@ def jc_field(
     return psi1, psi2
 
 
-def jc_spinor(
-    rho, theta, tau: float, params: ModelParams, window: TruncationWindow | None = None
-) -> np.ndarray:
+def jc_spinor(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
     """Two-band packet assembled as a 4-spinor: (Psi1, 0, 0, Psi2)."""
-    psi1, psi2 = jc_field(rho, theta, tau, params, window)
+    psi1, psi2 = jc_field(rho, theta, tau, params)
     zero = np.zeros_like(psi1)
     return np.stack([psi1, zero, zero, psi2])
 
@@ -299,8 +289,8 @@ def cat_decomposition(
     4-component vector.  At tau0 = T_cl/4 the overlap takes the closed form
     sqrt(2 n0 (lambda/a)^2 / (1 + 2 n0 (lambda/a)^2)).
     """
-    d0, b0 = branch_coefficients(params.n0, params)
-    d0, b0 = float(d0), float(b0)
+    table = levels(params)
+    d0, b0 = table.d[params.n0], table.b[params.n0]
     _, dp, _ = taylor_at(params.n0, params)
     up = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     down = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)

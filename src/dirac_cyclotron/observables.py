@@ -10,34 +10,12 @@ spin in hbar/2, times tau in lambda/c, lengths in the magnetic length a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import KahanAccumulator, coherent_coefficient, truncation_window
+from .basis import KahanAccumulator, levels
 from .fields import PolarGrid
-from .spectrum import ModelParams, phi, taylor, taylor_at
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Sampled observable trace: times (in lambda/c) plus named columns."""
-
-    times: np.ndarray
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, col in self.columns.items():
-            if col.shape != self.times.shape:
-                raise ValueError(f"column {name!r} length mismatch")
-
-    @property
-    def names(self) -> list[str]:
-        return list(self.columns)
-
-
-def _phi_cached(n_hi: int, params: ModelParams) -> np.ndarray:
-    return np.asarray(phi(np.arange(n_hi + 1), params))
+from .spectrum import ModelParams, taylor, taylor_at
 
 
 def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -49,8 +27,8 @@ def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.nda
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     qa = params.qa
-    win = truncation_window(params)
-    p = _phi_cached(win.n_max + 1, params)
+    table = levels(params)
+    win, p = table.window, table.phi
     a2 = params.alpha**2
     b2 = params.beta**2
     acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
@@ -127,8 +105,8 @@ def mean_spin_transverse(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     qa = params.qa
-    win = truncation_window(params)
-    p = _phi_cached(win.n_max + 1, params)
+    table = levels(params)
+    win, p = table.window, table.phi
     lam = 0.5 * qa**2
     acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
 
@@ -161,8 +139,8 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
     theta = np.asarray(theta, dtype=float)
     rho, theta = np.broadcast_arrays(rho, theta)
     qa = params.qa
-    win = truncation_window(params)
-    p = _phi_cached(win.n_max + 1, params)
+    table = levels(params)
+    win, p = table.window, table.phi
     x = -0.5 * qa * rho  # real, <= 0
     e_pth = np.exp(1j * theta)
 
@@ -255,8 +233,8 @@ def mean_velocity_jc(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     qa = params.qa
     la = params.lambda_over_a
-    win = truncation_window(params)
-    p = _phi_cached(win.n_max + 1, params)
+    table = levels(params)
+    win, p = table.window, table.phi
     acc_x = KahanAccumulator(np.zeros(tau.shape))
     acc_y = KahanAccumulator(np.zeros(tau.shape))
     for n in range(win.n_min, win.n_max):
@@ -281,25 +259,22 @@ def mean_spin_z_jc(tau, params: ModelParams) -> np.ndarray:
     Jaynes-Cummings ground-state population with revival time T_cl/2.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    qa = params.qa
     la2 = params.lambda_over_a**2
-    win = truncation_window(params)
-    p = _phi_cached(win.n_max, params)
+    table = levels(params)
+    win, p, c = table.window, table.phi, table.c
     acc = KahanAccumulator(np.zeros(tau.shape))
     for n in range(win.n_min, win.n_max + 1):
-        c2 = coherent_coefficient(n, qa) ** 2
-        acc.add(c2 * (1.0 + 2.0 * n * la2 * np.cos(2.0 * p[n] * tau)) / p[n] ** 2)
+        acc.add(c[n] ** 2 * (1.0 + 2.0 * n * la2 * np.cos(2.0 * p[n] * tau)) / p[n] ** 2)
     return acc.total
 
 
 def spin_z_plateau_jc(params: ModelParams) -> float:
     """Time average of the two-band S_z: sum |c_n|^2 / phi_n^2."""
-    qa = params.qa
-    win = truncation_window(params)
-    p = _phi_cached(win.n_max, params)
+    table = levels(params)
+    win, p, c = table.window, table.phi, table.c
     acc = KahanAccumulator(0.0)
     for n in range(win.n_min, win.n_max + 1):
-        acc.add(coherent_coefficient(n, qa) ** 2 / p[n] ** 2)
+        acc.add(c[n] ** 2 / p[n] ** 2)
     return float(acc.total)
 
 

@@ -43,7 +43,6 @@ class ModelParams:
     alpha: float = 1.0
     beta: float = 1.0
     trunc_tol: float = 1e-12
-    n_max_override: int | None = None
 
     def __post_init__(self):
         for name in ("lambda_over_a", "qa", "alpha", "beta"):
@@ -57,8 +56,6 @@ class ModelParams:
             raise ValueError("alpha and beta cannot both vanish")
         if not 0 < self.trunc_tol < 1:
             raise ValueError("trunc_tol must lie in (0, 1)")
-        if self.n_max_override is not None and self.n_max_override < 1:
-            raise ValueError("n_max_override must be >= 1")
 
     @property
     def weight_norm(self) -> float:

@@ -1,5 +1,7 @@
-"""Coherent weights, kernels, truncation windows and mode-set construction."""
+"""Coherent weights, kernels, truncation windows, level tables and mode-set
+construction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +14,9 @@ from dirac_cyclotron import (
     branch_coefficients,
     build_mode_set,
     coherent_coefficient,
-    coherent_coefficients,
     kahan_sum,
+    levels,
+    phi,
     q_kernel,
     q_kernel_stack,
     truncation_window,
@@ -23,19 +26,12 @@ from dirac_cyclotron.basis import MODE_SET_KINDS, momentum_profile
 
 class TestCoherentCoefficients:
     def test_normalization(self):
-        qa = 8.0
-        c = coherent_coefficients(400, qa)
-        assert float(np.sum(c**2)) == pytest.approx(1.0, abs=1e-12)
+        mass = math.fsum(coherent_coefficient(n, 8.0) ** 2 for n in range(1, 401))
+        assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_alternation(self):
-        c = coherent_coefficients(10, 3.0)
-        assert np.all(np.sign(c) == np.where(np.arange(10) % 2, -1, 1))
-
-    def test_vector_matches_scalar(self):
-        qa = 5.0
-        c = coherent_coefficients(30, qa)
-        for n in (1, 2, 17, 30):
-            assert c[n - 1] == pytest.approx(coherent_coefficient(n, qa), rel=1e-14)
+        signs = [math.copysign(1.0, coherent_coefficient(n, 3.0)) for n in range(1, 11)]
+        assert signs == [1.0, -1.0] * 5
 
     def test_one_indexed(self):
         with pytest.raises(ValueError):
@@ -96,8 +92,9 @@ class TestTruncationWindow:
     def test_tail_mass_below_tolerance(self, qa, tol):
         p = ModelParams(lambda_over_a=0.1, qa=qa, trunc_tol=tol)
         win = truncation_window(p)
-        c = coherent_coefficients(win.n_max + 200, qa)
-        inside = float(np.sum(c[win.n_min - 1 : win.n_max] ** 2))
+        inside = math.fsum(
+            coherent_coefficient(n, qa) ** 2 for n in range(win.n_min, win.n_max + 1)
+        )
         # small slack: the greedy accumulation and this resummation round
         # differently near the threshold
         assert 1.0 - inside < 1.05 * tol
@@ -117,13 +114,6 @@ class TestTruncationWindow:
             win.indices, np.arange(win.n_min, win.n_max + 1)
         )
 
-    def test_unattainable_override_raises(self):
-        p = ModelParams(lambda_over_a=0.1, qa=10.0, n_max_override=5)
-        # a failed window is not cached: every call raises again
-        for _ in range(2):
-            with pytest.raises(RuntimeError):
-                truncation_window(p)
-
     def test_window_shared_by_packets_differing_in_weights(self):
         a = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=1.0, beta=1.0)
         b = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=0.5, beta=-2.0)
@@ -132,7 +122,60 @@ class TestTruncationWindow:
         assert truncation_window(c) != truncation_window(a)
 
 
+# the two validation sets and a packet below one Landau level (n0 = 0)
+LEVEL_SETS = {
+    "SET1": ModelParams(lambda_over_a=0.1, qa=5.0),
+    "SET2": ModelParams(lambda_over_a=0.5, qa=10.0),
+    "qa1": ModelParams(lambda_over_a=0.3, qa=1.0, alpha=1.5, beta=0.5),
+}
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("name", LEVEL_SETS)
+    def test_bitwise_equal_to_scalar_functions(self, name):
+        p = LEVEL_SETS[name]
+        table = levels(p)
+        assert table.window is truncation_window(p)
+        n_hi = table.window.n_max + 1
+        assert len(table.phi) == len(table.d) == len(table.b) == len(table.c) == n_hi + 1
+        for n in range(n_hi + 1):
+            d, b = branch_coefficients(n, p)
+            expected = [phi(n, p), float(d), float(b)]
+            got = [float(table.phi[n]), float(table.d[n]), float(table.b[n])]
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+        for k in range(1, n_hi + 1):
+            assert table.c[k].hex() == coherent_coefficient(k, p.qa).hex()
+
+    def test_arrays_read_only(self):
+        table = levels(LEVEL_SETS["SET1"])
+        for a in (table.phi, table.d, table.b):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert isinstance(table.c, tuple)
+
+    def test_shared_by_packets_differing_in_weights(self):
+        a = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=1.0, beta=1.0)
+        b = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=0.5, beta=-2.0)
+        assert levels(a) is levels(b)
+        assert levels(ModelParams(lambda_over_a=0.2, qa=5.0)) is not levels(a)
+        assert levels(ModelParams(lambda_over_a=0.1, qa=5.0, trunc_tol=1e-6)) is not levels(a)
+
+
 class TestModeSets:
+    # sha256 of repr of the entries of the four kinds, in MODE_SET_KINDS order,
+    # recorded before the mode sets were read from the level table
+    ENTRY_DIGESTS = {
+        "SET1": "da6c14e46a146a8867bea7f3b9b7ebbbafc6f8e76af8daa1a20d5afaa174627c",
+        "SET2": "c9332fbf1a3c85d1dd169a5fa4269da6fd3ae921b91182d08962ec93c07ce4ab",
+        "qa1": "58694e14a079c92ff6ddde3256a5fbad6b09d124e6be9dd9cb566840dab8fe59",
+    }
+
+    @pytest.mark.parametrize("name", LEVEL_SETS)
+    def test_entries_pinned(self, name):
+        p = LEVEL_SETS[name]
+        text = repr([build_mode_set(kind, p).entries for kind in MODE_SET_KINDS])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ENTRY_DIGESTS[name]
+
     @pytest.mark.parametrize("kind", MODE_SET_KINDS)
     def test_normalized(self, kind):
         p = ModelParams(lambda_over_a=0.5, qa=10.0)

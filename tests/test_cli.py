@@ -281,6 +281,14 @@ class TestExitCodes:
         assert "error: config" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("value", ["ture", "2", ""])
+    def test_non_boolean_quick_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[validate]\nquick = {value}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 1
+        assert "not a boolean" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_non_finite_payload_is_two(self, tmp_path, capsys, monkeypatch):
         def nan_velocity(tau, params):
             tau = np.atleast_1d(tau)

@@ -8,7 +8,6 @@ import pytest
 from dirac_cyclotron import (
     KahanAccumulator,
     ModelParams,
-    TimeSeries,
     build_mode_set,
     collapse_envelope,
     default_grid,
@@ -330,13 +329,3 @@ class TestConservation:
         taus = [0.0] + [0.1 * k * sc.T_cl for k in range(1, 4)]
         drift = sz_conservation_check(taus, ms, set2)
         assert drift > 0.1  # trembling motion moves S_z by order unity
-
-
-class TestTimeSeries:
-    def test_column_length_checked(self):
-        with pytest.raises(ValueError):
-            TimeSeries(times=np.arange(3.0), columns={"v": np.arange(4.0)})
-
-    def test_names(self):
-        ts = TimeSeries(times=np.arange(3.0), columns={"a": np.zeros(3), "b": np.ones(3)})
-        assert ts.names == ["a", "b"]

@@ -174,7 +174,6 @@ class TestModelParams:
             dict(lambda_over_a=0.1, qa=-1.0),
             dict(lambda_over_a=0.1, qa=5.0, alpha=0.0, beta=0.0),
             dict(lambda_over_a=0.1, qa=5.0, trunc_tol=0.0),
-            dict(lambda_over_a=0.1, qa=5.0, n_max_override=0),
             dict(lambda_over_a=math.inf, qa=5.0),
             dict(lambda_over_a=0.1, qa=math.inf),
             dict(lambda_over_a=0.1, qa=5.0, alpha=math.nan),
