@@ -174,6 +174,11 @@ def _window(qa: float, trunc_tol: float) -> TruncationWindow:
     while 1.0 - covered >= trunc_tol:
         w_lo = math.exp(_log_weight_sq(lo - 1, qa)) if lo > 1 else -1.0
         w_hi = math.exp(_log_weight_sq(hi + 1, qa))
+        if w_hi == 0.0 and w_lo <= 0.0:
+            raise ValueError(
+                f"trunc_tol = {trunc_tol!r} is unattainable at qa = {qa!r}: the "
+                "coherent weights underflow before the dropped mass falls below it"
+            )
         if w_hi >= w_lo:
             hi += 1
             covered += w_hi

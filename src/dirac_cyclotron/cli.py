@@ -183,13 +183,15 @@ def _get_int(scn: Scenario, key: str, default: int | None = None) -> int:
 
 def _build_params(scn: Scenario) -> ModelParams:
     try:
-        return ModelParams(
+        params = ModelParams(
             lambda_over_a=_get_float(scn, "lambda_over_a"),
             qa=_get_float(scn, "qa"),
             alpha=_get_float(scn, "alpha"),
             beta=_get_float(scn, "beta"),
             trunc_tol=_get_float(scn, "trunc_tol", 1e-12),
         )
+        truncation_window(params)
+        return params
     except ValueError as exc:
         raise ConfigError(f"scenario {scn.name!r}: {exc}") from None
 
@@ -415,7 +417,7 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
     # map scenarios
     grid = _build_grid(scn, params)
     header += _grid_header(grid)
-    rr, tt = grid.mesh()
+    rr, tt = np.ix_(grid.rho, grid.theta)
     columns = ["rho_a", "theta_rad"]
 
     if scn.name == "density-map":

@@ -2,7 +2,8 @@
 
 The polar frame is attached to the guiding centre of the orbit:
 x/a = rho sin(theta), (y - qa^2)/a = rho cos(theta).  All fields are
-returned as complex arrays of shape (4,) + grid_shape, in units 1/a
+returned as complex arrays of shape (4,) + the broadcast shape of rho and
+theta (grid axes give the full grid, with the bits of a mesh), in units 1/a
 (two-dimensional normalization), and all series run over the coherent-index
 truncation window in ascending order with compensated accumulation.
 """
@@ -115,12 +116,11 @@ def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.nda
     win, p, d, b = table.window, table.phi, table.d, table.b
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    rho, theta = np.broadcast_arrays(rho, theta)
     qa, al, be = params.qa, params.alpha, params.beta
     w = -0.5 * qa * rho * np.exp(-1j * theta)  # gamma * e^{-i theta}
     e_mth = np.exp(-1j * theta)
 
-    shape = rho.shape
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
     acc = [KahanAccumulator(np.zeros(shape, dtype=complex)) for _ in range(4)]
     W = _scaled_power(w, win.n_min - 1)  # w^(k-1)/(k-1)! at k = n_min
     W_prev = _scaled_power(w, win.n_min - 2) if win.n_min >= 2 else None
@@ -154,7 +154,6 @@ def classical_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    rho, theta = np.broadcast_arrays(rho, theta)
     qa, la = params.qa, params.lambda_over_a
     al, be = params.alpha, params.beta
     phi0, dp, _ = taylor_at(params.n0, params)
@@ -251,11 +250,10 @@ def jc_field(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarray, n
     win, phis = table.window, table.phi
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    rho, theta = np.broadcast_arrays(rho, theta)
     qa, la = params.qa, params.lambda_over_a
     w = -0.5 * qa * rho * np.exp(-1j * theta)
 
-    shape = rho.shape
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
     acc1 = KahanAccumulator(np.zeros(shape, dtype=complex))
     acc2 = KahanAccumulator(np.zeros(shape, dtype=complex))
     n_start = max(1, win.n_min)

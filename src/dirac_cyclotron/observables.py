@@ -137,7 +137,6 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    rho, theta = np.broadcast_arrays(rho, theta)
     qa = params.qa
     table = levels(params)
     win, p = table.window, table.phi
@@ -149,7 +148,7 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
     with np.errstate(divide="ignore"):
         lg = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
 
-    shape = rho.shape
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
     s_a1 = KahanAccumulator(np.zeros(shape, dtype=complex))
     s_a2 = KahanAccumulator(np.zeros(shape, dtype=complex))
     s_b1 = KahanAccumulator(np.zeros(shape, dtype=complex))

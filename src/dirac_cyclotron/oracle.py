@@ -154,17 +154,6 @@ _SWAP = np.array([[0, 1], [1, 0]])
 _ALPHA_X = np.kron(_SWAP, np.array([[0, 1], [1, 0]])).astype(complex)
 _ALPHA_Y = np.kron(_SWAP, np.array([[0, -1j], [1j, 0]]))
 
-OPERATOR_KINDS = (
-    "velocity_x",
-    "velocity_y",
-    "sigma_x",
-    "sigma_y",
-    "sigma_z",
-    "position_x",
-    "position_y",
-    "norm",
-)
-
 
 def quadrature_expectation(kind: str, field: OracleField, params: ModelParams) -> float:
     """Grid quadrature of psi^dagger O psi for a one-body operator O.

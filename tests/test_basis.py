@@ -3,12 +3,17 @@ construction."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dirac_cyclotron
 from dirac_cyclotron import (
     ModelParams,
     branch_coefficients,
@@ -120,6 +125,19 @@ class TestTruncationWindow:
         assert truncation_window(a) is truncation_window(b)
         c = ModelParams(lambda_over_a=0.1, qa=5.0, trunc_tol=1e-6)
         assert truncation_window(c) != truncation_window(a)
+
+    @pytest.mark.parametrize("qa", [2.0, 10.0, 20.0])
+    def test_unattainable_tolerance_raises(self, qa):
+        # the weights underflow while the summed mass still falls short of
+        # 1 - tol; run apart so that a loop that never ends fails the test
+        code = f"from dirac_cyclotron.basis import _window\n_window({qa!r}, 1e-300)"
+        env = dict(os.environ, PYTHONPATH=str(Path(dirac_cyclotron.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 1
+        assert "ValueError" in proc.stderr
+        assert "trunc_tol" in proc.stderr and "qa" in proc.stderr
 
 
 # the two validation sets and a packet below one Landau level (n0 = 0)

@@ -66,6 +66,7 @@ def fake_spin_density(sx_value):
     tiny values elsewhere."""
 
     def spin_density(rho, theta, tau, params):
+        rho, theta = np.broadcast_arrays(rho, theta)
         sx = np.where(np.arange(rho.size).reshape(rho.shape) % 2, -0.0, 5e-324)
         sx.flat[0] = sx_value
         return sx, -rho * np.sin(theta) / 3.0
@@ -271,8 +272,18 @@ class TestExitCodes:
             DENSITY_MAP + "rho_max = 0\n",
             DENSITY_MAP + "n_rho = 1\n",
             DENSITY_MAP + "n_theta = 0\n",
+            "[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n"
+            "trunc_tol = 1e-17\n",
         ],
-        ids=["trunc_tol", "lambda_over_a", "rho_max", "rho_max_zero", "n_rho", "n_theta"],
+        ids=[
+            "trunc_tol",
+            "lambda_over_a",
+            "rho_max",
+            "rho_max_zero",
+            "n_rho",
+            "n_theta",
+            "trunc_tol_unattainable",
+        ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "run.cfg"

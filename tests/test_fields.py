@@ -27,6 +27,7 @@ from dirac_cyclotron import (
     normalized_fidelity,
     polar_to_xy,
     positive_energy_field,
+    spin_density,
 )
 from dirac_cyclotron.fields import envelope_prefactor
 from dirac_cyclotron.spectrum import taylor_at
@@ -212,3 +213,41 @@ class TestCatDecomposition:
             sp, sm, _ = cat_decomposition(tau, set2)
             assert float(np.vdot(sp, sp).real) == pytest.approx(1.0, abs=1e-12)
             assert float(np.vdot(sm, sm).real) == pytest.approx(1.0, abs=1e-12)
+
+
+# Every map kernel the CLI calls, as it calls it; each returns a tuple of
+# arrays over the grid.
+MAP_KERNELS = {
+    "spin_density": spin_density,
+    "positive_energy_field": lambda r, t, tau, p: (positive_energy_field(r, t, tau, p),),
+    "jc_spinor": lambda r, t, tau, p: (jc_spinor(r, t, tau, p),),
+    "classical_field": lambda r, t, tau, p: (classical_field(r, t, tau, p),),
+    "fractional_1_3": lambda r, t, tau, p: (fractional_revival_field(r, t, tau, 1, 3, p),),
+    "mode_sum_taylor2": lambda r, t, tau, p: (
+        mode_sum_field(r, t, tau, build_mode_set("positive_only", p), p, "taylor2"),
+    ),
+}
+
+
+class TestAxisInput:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(lambda_over_a=0.1, qa=5.0),
+            ModelParams(lambda_over_a=0.5, qa=10.0, alpha=1.5, beta=0.5),
+            ModelParams(lambda_over_a=0.3, qa=1.0, alpha=0.0, beta=1.0),
+        ],
+        ids=["set1", "set2_alpha_ne_beta", "qa1_alpha0"],
+    )
+    @pytest.mark.parametrize("tau", [0.0, 123.4])
+    @pytest.mark.parametrize("kernel", MAP_KERNELS)
+    def test_axes_give_the_bits_of_the_mesh(self, kernel, params, tau):
+        # odd sizes leave SIMD remainders on both axes; rho[0] = 0 is the
+        # branch point of the level powers
+        g = PolarGrid(rho_max=params.qa + 6.0, n_rho=17, n_theta=19)
+        got = MAP_KERNELS[kernel](*np.ix_(g.rho, g.theta), tau, params)
+        want = MAP_KERNELS[kernel](*g.mesh(), tau, params)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert a.shape[-2:] == (g.n_rho, g.n_theta)
+            assert a.tobytes() == b.tobytes()
