@@ -26,17 +26,32 @@ class KahanAccumulator:
     Terms are fed in a fixed order (ascending n throughout this package),
     which makes every series bit-reproducible regardless of how outer loops
     are scheduled.
+
+    An array sum is updated in place: the same four IEEE operations in the
+    same order, written into its own sum, compensation and one scratch
+    array, so each term must fit the sum's shape and dtype.  ``total`` is
+    then a live buffer that the next ``add`` overwrites.  A 0-d sum keeps
+    scalar arithmetic.
     """
 
     def __init__(self, like):
         self._s = np.zeros_like(like)
         self._c = np.zeros_like(like)
+        self._y = np.empty_like(self._s) if self._s.ndim else None
 
     def add(self, x):
-        y = x - self._c
-        t = self._s + y
-        self._c = (t - self._s) - y
-        self._s = t
+        if self._y is None:
+            y = x - self._c
+            t = self._s + y
+            self._c = (t - self._s) - y
+            self._s = t
+            return
+        y, s, c = self._y, self._s, self._c
+        np.subtract(x, c, out=y)
+        np.add(s, y, out=c)  # t = s + y; the old c is spent
+        np.subtract(c, s, out=s)
+        np.subtract(s, y, out=s)  # (t - s) - y
+        self._s, self._c = c, s
 
     @property
     def total(self):

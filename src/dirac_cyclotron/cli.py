@@ -11,12 +11,13 @@ byte-identical across thread counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import itertools
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -289,16 +290,11 @@ def _write_validation(path: Path, quick: bool, threads: int, timestamp: bool) ->
     return rows, ok
 
 
-def _sweep(func, taus: np.ndarray, threads: int) -> list:
-    """Evaluate func at each tau, in order, optionally on a thread pool.
-
-    ``ThreadPoolExecutor.map`` preserves input order, so the emitted rows are
-    identical for any thread count.
-    """
-    if threads <= 1:
-        return [func(float(t)) for t in taus]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(func, [float(t) for t in taus]))
+def _now(func, *args) -> Future:
+    """Run func on this thread: the one-thread stand-in for ``pool.submit``."""
+    future: Future = Future()
+    future.set_result(func(*args))
+    return future
 
 
 def _common_header(scn: Scenario, params: ModelParams) -> list[tuple[str, str]]:
@@ -499,87 +495,101 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     def record(name: str, dev: float, thr: float):
         rows.append((name, dev, thr, "pass" if dev <= thr else "FAIL"))
 
-    # closed-form fields vs mode sums; each kernel stack serves every tau
-    mode_pos = build_mode_set("positive_only", SET1)
-    rr1, tt1 = field_grid1.mesh()
-    kernels1 = grid_kernel_stack(field_grid1, mode_pos, SET1)
-    taus = rng.uniform(0.0, 0.5 * sc1.T_R, n_field_times)
+    # Every section's tau tasks are submitted before any result is read, so
+    # the stack builds and the kernel-quadrature check overlap the pool work.
+    # Each task is deterministic, so the rows do not depend on the schedule.
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
+    with pool as ex:
+        submit = _now if ex is None else ex.submit
 
-    def dev_pos(t: float) -> float:
-        a = positive_energy_field(rr1, tt1, t, SET1)
-        b = mode_sum_field(rr1, tt1, t, mode_pos, SET1, kernels=kernels1)
-        return float(np.max(np.abs(a - b)))
+        def sweep(func, taus) -> list[Future]:
+            return [submit(func, float(t)) for t in taus]
 
-    record("field_positive_vs_modesum", max(_sweep(dev_pos, taus, threads)), 1e-8)
+        # closed-form fields vs mode sums; each kernel stack serves every tau
+        def field_check(grid, modes, params, closed, taus) -> list[Future]:
+            rr, tt = grid.mesh()
+            kernels = grid_kernel_stack(grid, modes, params)
 
-    mode_jc = build_mode_set("two_band", SET2)
-    rr2, tt2 = field_grid2.mesh()
-    kernels2 = grid_kernel_stack(field_grid2, mode_jc, SET2)
-    taus = rng.uniform(0.0, 0.5 * sc2.T_R, n_field_times)
+            def dev(t: float) -> float:
+                a = closed(rr, tt, t, params)
+                b = mode_sum_field(rr, tt, t, modes, params, kernels=kernels)
+                return float(np.max(np.abs(a - b)))
 
-    def dev_jc(t: float) -> float:
-        a = jc_spinor(rr2, tt2, t, SET2)
-        b = mode_sum_field(rr2, tt2, t, mode_jc, SET2, kernels=kernels2)
-        return float(np.max(np.abs(a - b)))
+            return sweep(dev, taus)
 
-    record("field_two_band_vs_modesum", max(_sweep(dev_jc, taus, threads)), 1e-8)
+        mode_pos = build_mode_set("positive_only", SET1)
+        field_pos = field_check(field_grid1, mode_pos, SET1, positive_energy_field,
+                                rng.uniform(0.0, 0.5 * sc1.T_R, n_field_times))
+        mode_jc = build_mode_set("two_band", SET2)
+        field_jc = field_check(field_grid2, mode_jc, SET2, jc_spinor,
+                               rng.uniform(0.0, 0.5 * sc2.T_R, n_field_times))
 
-    # closed-form observables vs grid quadrature: one oracle field per tau
-    # serves every observable of the packet
-    taus1 = rng.uniform(0.0, 0.5 * sc1.T_R, n_obs_times)
-    taus2 = rng.uniform(0.0, 0.5 * sc2.T_R, n_obs_times)
+        # closed-form observables vs grid quadrature: one oracle field per tau
+        # serves every observable of the packet
+        taus1 = rng.uniform(0.0, 0.5 * sc1.T_R, n_obs_times)
+        taus2 = rng.uniform(0.0, 0.5 * sc2.T_R, n_obs_times)
 
-    def quadrature_checks(grid, modes, params, kernels, taus, checks) -> None:
-        """Record max_tau |closed form - quadrature| for each (name, closed, kinds)."""
+        def quadrature_checks(grid, modes, params, kernels, taus, checks) -> list[Future]:
+            """Per tau, |closed form - quadrature| for each (name, closed, kinds)."""
 
-        def devs(t: float) -> list[float]:
-            f = sample_mode_sum(grid, t, modes, params, kernels=kernels)
-            return [
-                max(
-                    abs(float(v[0]) - quadrature_expectation(kind, f, params))
-                    for v, kind in zip(closed(t, params), kinds, strict=True)
-                )
-                for _, closed, kinds in checks
-            ]
+            def devs(t: float) -> list[float]:
+                f = sample_mode_sum(grid, t, modes, params, kernels=kernels)
+                return [
+                    max(
+                        abs(float(v[0]) - quadrature_expectation(kind, f, params))
+                        for v, kind in zip(closed(t, params), kinds, strict=True)
+                    )
+                    for _, closed, kinds in checks
+                ]
 
-        per_check = zip(*_sweep(devs, taus, threads), strict=True)
-        for (name, _, _), check_devs in zip(checks, per_check, strict=True):
-            record(name, max(check_devs), 1e-6)
+            return sweep(devs, taus)
 
-    quad_kernels1 = grid_kernel_stack(quad_grid1, mode_pos, SET1)
-    quadrature_checks(quad_grid1, mode_pos, SET1, quad_kernels1, taus1, [
-        ("velocity_positive_vs_quadrature", mean_velocity_positive, ("velocity_x", "velocity_y")),
-        ("spin_transverse_vs_quadrature", mean_spin_transverse, ("sigma_x", "sigma_y")),
-    ])
-    quad_kernels2 = grid_kernel_stack(quad_grid2, mode_jc, SET2)
-    quadrature_checks(quad_grid2, mode_jc, SET2, quad_kernels2, taus2, [
-        ("velocity_two_band_vs_quadrature", mean_velocity_jc, ("velocity_x", "velocity_y")),
-        ("spin_z_two_band_vs_quadrature", lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",)),
-    ])
-    del quad_kernels2  # the largest stack; not needed past this point
+        checks1 = [
+            ("velocity_positive_vs_quadrature", mean_velocity_positive, ("velocity_x", "velocity_y")),
+            ("spin_transverse_vs_quadrature", mean_spin_transverse, ("sigma_x", "sigma_y")),
+        ]
+        checks2 = [
+            ("velocity_two_band_vs_quadrature", mean_velocity_jc, ("velocity_x", "velocity_y")),
+            ("spin_z_two_band_vs_quadrature",
+             lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",)),
+        ]
+        quad_kernels1 = grid_kernel_stack(quad_grid1, mode_pos, SET1)
+        quad_pos = quadrature_checks(quad_grid1, mode_pos, SET1, quad_kernels1, taus1, checks1)
+        # the largest stack is held only by its own tasks, so it is freed once they end
+        quad_jc = quadrature_checks(quad_grid2, mode_jc, SET2,
+                                    grid_kernel_stack(quad_grid2, mode_jc, SET2), taus2, checks2)
 
-    # conservation
-    cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R]
-    if quick:
-        cons_times = cons_times[:2]
+        # conservation
+        cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R]
+        if quick:
+            cons_times = cons_times[:2]
 
-    def conservation(t: float) -> tuple[float, float]:
-        f = sample_mode_sum(quad_grid1, t, mode_pos, SET1, kernels=quad_kernels1)
-        return f.norm(), quadrature_expectation("sigma_z", f, SET1)
+        def conservation(t: float) -> tuple[float, float]:
+            f = sample_mode_sum(quad_grid1, t, mode_pos, SET1, kernels=quad_kernels1)
+            return f.norm(), quadrature_expectation("sigma_z", f, SET1)
 
-    norms, sz = zip(*_sweep(conservation, cons_times, threads), strict=True)
-    record("norm_drift", max(abs(v - 1.0) for v in norms), 1e-6)
-    record("spin_z_conservation_positive", max(abs(v - sz[0]) for v in sz), 1e-8)
+        cons = sweep(conservation, cons_times)
 
-    # numeric p-integral vs closed-form kernel
-    pts = [(0.0, SET1.qa), (1.0, SET1.qa), (-2.0, SET1.qa + 1.0), (0.5, SET1.qa - 2.0),
-           (3.0, SET1.qa + 3.0), (-1.5, SET1.qa - 1.0), (2.0, SET1.qa),
-           (0.0, SET1.qa + 2.0), (-3.0, SET1.qa - 3.0)]
-    dev = 0.0
-    for k in range(6):
-        for x, y in pts:
-            dev = max(dev, abs(b1_quadrature(k, x, y, SET1) - q_kernel(k, x, y, SET1)))
-    record("kernel_quadrature_vs_closed_form", dev, 1e-8)
+        # numeric p-integral vs closed-form kernel, on this thread
+        pts = [(0.0, SET1.qa), (1.0, SET1.qa), (-2.0, SET1.qa + 1.0), (0.5, SET1.qa - 2.0),
+               (3.0, SET1.qa + 3.0), (-1.5, SET1.qa - 1.0), (2.0, SET1.qa),
+               (0.0, SET1.qa + 2.0), (-3.0, SET1.qa - 3.0)]
+        kernel_dev = max(
+            abs(b1_quadrature(k, x, y, SET1) - q_kernel(k, x, y, SET1))
+            for k in range(6)
+            for x, y in pts
+        )
+
+        record("field_positive_vs_modesum", max(f.result() for f in field_pos), 1e-8)
+        record("field_two_band_vs_modesum", max(f.result() for f in field_jc), 1e-8)
+        for checks, futures in ((checks1, quad_pos), (checks2, quad_jc)):
+            per_check = zip(*(f.result() for f in futures), strict=True)
+            for (name, _, _), check_devs in zip(checks, per_check, strict=True):
+                record(name, max(check_devs), 1e-6)
+        norms, sz = zip(*(f.result() for f in cons), strict=True)
+        record("norm_drift", max(abs(v - 1.0) for v in norms), 1e-6)
+        record("spin_z_conservation_positive", max(abs(v - sz[0]) for v in sz), 1e-8)
+        record("kernel_quadrature_vs_closed_form", kernel_dev, 1e-8)
 
     ok = all(r[3] == "pass" for r in rows)
     return rows, ok
@@ -622,6 +632,11 @@ def main(argv=None) -> int:
 
         text = args.config.read_text()
         scenarios = parse_config(text)
+        # a section's physics is checked (and its window built) before any
+        # section writes, so an invalid later section leaves no artifact
+        for scn in scenarios:
+            if scn.name != "validate":
+                _build_params(scn)
         args.out.mkdir(parents=True, exist_ok=True)
         for scn in scenarios:
             path = run_scenario(scn, args.out, args.threads, not args.no_timestamp)

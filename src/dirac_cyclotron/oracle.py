@@ -69,31 +69,34 @@ def mode_sum_field(
     energies = _mode_energies(n_max, params, spectrum_variant)
     d_all, b_all = (c.tolist() for c in branch_coefficients(np.arange(n_max + 1), params))
 
-    acc = [KahanAccumulator(np.zeros(rho.shape, dtype=complex)) for _ in range(4)]
+    # Each component's terms (factor * phase, kernel order), in entry order.
+    # Mode (n, s) weights its two kernels by (d_n, -b_n) for s = +1 and by
+    # (b_n, d_n) for s = -1: lambda_k = +1 puts them on Q_{n-1} in psi_1 and
+    # Q_n in psi_4, lambda_k = -1 on Q_n in psi_2 and Q_{n-1} in psi_3.
+    # Q_{n-1} is absent only at n = 0, where b_n = 0.
+    terms: tuple[list, ...] = ([], [], [], [])
     for idx, amp in mode_set.entries:
-        n, s, lam = idx.n, idx.s, idx.lambda_k
+        n = idx.n
         d, b = d_all[n], b_all[n]
-        ph = amp * np.exp(-1j * s * energies[n] * tau)
-        q_lo = q[n - 1] if n >= 1 else None  # Q_{n-1}; absent only when b_n = 0
-        if lam == +1:
-            if s == +1:
-                if q_lo is not None:
-                    acc[0].add(d * ph * q_lo)
-                acc[3].add(-b * ph * q[n])
-            else:
-                if q_lo is not None:
-                    acc[0].add(b * ph * q_lo)
-                acc[3].add(d * ph * q[n])
+        ph = amp * np.exp(-1j * idx.s * energies[n] * tau)
+        first, second = (d, -b) if idx.s == +1 else (b, d)
+        if idx.lambda_k == +1:
+            (lo, f_lo), (hi, f_hi) = (0, first), (3, second)
         else:
-            if s == +1:
-                acc[1].add(d * ph * q[n])
-                if q_lo is not None:
-                    acc[2].add(-b * ph * q_lo)
-            else:
-                acc[1].add(b * ph * q[n])
-                if q_lo is not None:
-                    acc[2].add(d * ph * q_lo)
-    return np.stack([a.total for a in acc])
+            (lo, f_lo), (hi, f_hi) = (2, second), (1, first)
+        if n >= 1:
+            terms[lo].append((f_lo * ph, n - 1))
+        terms[hi].append((f_hi * ph, n))
+
+    # one compensated pass per component, each term formed in one buffer
+    out = np.empty((4,) + rho.shape, dtype=complex)
+    term = np.empty(rho.shape, dtype=complex)
+    for component, component_terms in zip(out, terms):
+        acc = KahanAccumulator(component)
+        for f, k in component_terms:
+            acc.add(np.multiply(f, q[k], out=term))
+        component[...] = acc.total
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import dirac_cyclotron
 from dirac_cyclotron import (
+    KahanAccumulator,
     ModelParams,
     branch_coefficients,
     build_mode_set,
@@ -24,6 +25,7 @@ from dirac_cyclotron import (
     phi,
     q_kernel,
     q_kernel_stack,
+    spin_z_plateau_jc,
     truncation_window,
 )
 from dirac_cyclotron.basis import MODE_SET_KINDS, momentum_profile
@@ -252,3 +254,88 @@ class TestKahanSum:
         terms = [np.array([0.1, 0.3])] * 10000
         expected = [math.fsum([0.1] * 10000), math.fsum([0.3] * 10000)]
         np.testing.assert_allclose(kahan_sum(terms), expected, rtol=0, atol=0)
+
+
+def _kahan_reference(terms, like):
+    """The out-of-place four-op compensated sum, term by term."""
+    s = np.zeros_like(like)
+    c = np.zeros_like(like)
+    for x in terms:
+        y = x - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
+
+
+class TestKahanAccumulator:
+    @staticmethod
+    def _ill_conditioned_terms(shape):
+        # big, tiny and cancelling complex terms in both parts, with a sign
+        # pattern that varies over the array
+        rng = np.random.default_rng(7)
+        sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        terms = []
+        for j in range(300):
+            scale = (1e16, 1.0, 1e-9, -1e16, 3.7e-3)[j % 5]
+            re = scale * (1.0 + rng.random(shape)) * sign
+            im = scale * (1.0 - rng.random(shape)) * sign[::-1]
+            terms.append(re + 1j * im)
+        return terms
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 6), (2, 3, 4)])
+    def test_in_place_array_add_keeps_every_bit(self, shape):
+        terms = self._ill_conditioned_terms(shape)
+        acc = KahanAccumulator(np.zeros(shape, dtype=complex))
+        for x in terms:
+            acc.add(x)
+        reference = _kahan_reference(terms, np.zeros(shape, dtype=complex))
+        assert acc.total.tobytes() == reference.tobytes()
+        naive = np.sum(terms, axis=0)
+        assert naive.tobytes() != reference.tobytes()  # the sequence is ill-conditioned
+
+    def test_real_array_and_broadcast_terms(self):
+        terms = [np.array([1e16, -1e16, 0.1]), 1.0, np.array([-1e16, 1e16, 0.2]), 1e-3]
+        acc = KahanAccumulator(np.zeros(3))
+        for x in terms:
+            acc.add(x)
+        assert acc.total.tobytes() == _kahan_reference(terms, np.zeros(3)).tobytes()
+        assert kahan_sum(terms).tobytes() == acc.total.tobytes()
+
+    def test_terms_are_left_unchanged(self):
+        terms = self._ill_conditioned_terms((4,))
+        copies = [t.copy() for t in terms]
+        kahan_sum(terms)
+        assert all(np.array_equal(t, c) for t, c in zip(terms, copies, strict=True))
+
+    def test_scalar_sums_keep_values_and_types(self, set2):
+        floats = [0.1] * 1000 + [1e16, 1.0, -1e16]
+        total = kahan_sum(floats)
+        assert type(total) is np.float64
+        assert total == _kahan_reference(floats, np.float64(0.0))
+        acc = KahanAccumulator(0.0)
+        for x in floats:
+            acc.add(x)
+        assert type(acc.total) is np.float64
+        assert acc.total == total
+        # the two-band S_z plateau is a 0-d compensated sum
+        table = levels(set2)
+        win, p, c = table.window, table.phi, table.c
+        terms = [c[n] ** 2 / p[n] ** 2 for n in range(win.n_min, win.n_max + 1)]
+        plateau = spin_z_plateau_jc(set2)
+        assert type(plateau) is float
+        assert plateau == float(_kahan_reference(terms, np.float64(0.0)))
+
+    def test_accumulators_never_share_a_buffer(self):
+        like = np.zeros((3, 4), dtype=complex)
+        a, b = KahanAccumulator(like), KahanAccumulator(like)
+        for j in range(5):
+            a.add(np.full(like.shape, 1e16 + j))
+            b.add(np.full(like.shape, -1.0 - 1j))
+            buffers = [a._s, a._c, a._y, b._s, b._c, b._y, like]
+            for i, u in enumerate(buffers):
+                for v in buffers[i + 1:]:
+                    assert not np.shares_memory(u, v)
+        assert np.all(like == 0)
+        assert np.all(b.total == -5.0 - 5j)
+        assert np.all(a.total == 5e16 + 10)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -292,6 +293,17 @@ class TestExitCodes:
         assert "error: config" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_later_bad_section_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            GOOD_CONFIG
+            + "[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n"
+            "trunc_tol = 1e-17\n"
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "trunc_tol" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("value", ["ture", "2", ""])
     def test_non_boolean_quick_is_config_error(self, tmp_path, capsys, value):
         cfg = tmp_path / "run.cfg"
@@ -344,6 +356,34 @@ class TestValidation:
         assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 0
         digest = hashlib.sha256((tmp_path / "validate.csv").read_bytes()).hexdigest()
         assert digest == QUICK_VALIDATE_SHA256
+
+    def test_threaded_quick_artifact_bytes_pinned(self, tmp_path):
+        argv = ["validate", "--quick", "--threads", "2", "--out", str(tmp_path), "--no-timestamp"]
+        assert main(argv) == 0
+        digest = hashlib.sha256((tmp_path / "validate.csv").read_bytes()).hexdigest()
+        assert digest == QUICK_VALIDATE_SHA256
+
+    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1), (3, 1)])
+    def test_one_pool_for_the_whole_report(self, monkeypatch, threads, pools):
+        made = []
+
+        def counting_pool(*args, **kwargs):
+            made.append(kwargs)
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", counting_pool)
+        rows, ok = validation_report(quick=True, threads=threads)
+        assert ok
+        assert len(made) == pools
+        assert all(kw == {"max_workers": threads} for kw in made)
+
+    def test_pool_task_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("mode sum failed")
+
+        monkeypatch.setattr(cli, "sample_mode_sum", broken)
+        with pytest.raises(RuntimeError, match="mode sum failed"):
+            validation_report(quick=True, threads=2)
 
     def test_validate_subcommand(self, tmp_path, capsys):
         assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 0

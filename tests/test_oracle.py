@@ -10,6 +10,7 @@ from dirac_cyclotron import (
     ModelParams,
     PolarGrid,
     b1_quadrature,
+    branch_coefficients,
     build_mode_set,
     derived_scales,
     fidelity,
@@ -21,7 +22,8 @@ from dirac_cyclotron import (
     q_kernel,
     sample_mode_sum,
 )
-from dirac_cyclotron.basis import ModeSet, truncation_window
+from dirac_cyclotron.basis import MODE_SET_KINDS, ModeSet, q_kernel_stack, truncation_window
+from dirac_cyclotron.fields import polar_to_xy
 from dirac_cyclotron.oracle import (
     SPECTRUM_VARIANTS,
     OracleField,
@@ -102,6 +104,86 @@ class TestSharedKernelStack:
             mode_sum_field(rr, tt, 0.0, ms, set1, kernels=kernels[:-1])
         with pytest.raises(ValueError, match="kernel stack"):
             mode_sum_field(rr[:, :10], tt[:, :10], 0.0, ms, set1, kernels=kernels)
+
+
+def _entry_ordered_field(rho, theta, tau, mode_set, params, variant, kernels=None):
+    """The mode sum as first written: four out-of-place compensated sums,
+    one add per mode entry and component, in entry order."""
+    rho, theta = np.broadcast_arrays(np.asarray(rho, float), np.asarray(theta, float))
+    n_max = mode_set.n_max
+    q = kernels
+    if q is None:
+        x, y = polar_to_xy(rho, theta, params)
+        q = q_kernel_stack(n_max, x, y, params)
+    energies = {
+        "exact": lambda: np.asarray(phi(np.arange(n_max + 1), params)),
+        "taylor2": lambda: np.asarray(phi_taylor2(np.arange(n_max + 1), params)),
+    }[variant]()
+    d_all, b_all = (c.tolist() for c in branch_coefficients(np.arange(n_max + 1), params))
+    acc = [[np.zeros(rho.shape, dtype=complex)] * 2 for _ in range(4)]
+
+    def add(i, x):
+        s, c = acc[i]
+        y = x - c
+        t = s + y
+        acc[i] = [t, (t - s) - y]
+
+    for idx, amp in mode_set.entries:
+        n, s, lam = idx.n, idx.s, idx.lambda_k
+        d, b = d_all[n], b_all[n]
+        ph = amp * np.exp(-1j * s * energies[n] * tau)
+        q_lo = q[n - 1] if n >= 1 else None
+        if lam == +1:
+            if s == +1:
+                if q_lo is not None:
+                    add(0, d * ph * q_lo)
+                add(3, -b * ph * q[n])
+            else:
+                if q_lo is not None:
+                    add(0, b * ph * q_lo)
+                add(3, d * ph * q[n])
+        else:
+            if s == +1:
+                add(1, d * ph * q[n])
+                if q_lo is not None:
+                    add(2, -b * ph * q_lo)
+            else:
+                add(1, b * ph * q[n])
+                if q_lo is not None:
+                    add(2, d * ph * q_lo)
+    return np.stack([a[0] for a in acc])
+
+
+class TestComponentPasses:
+    """The per-component pass keeps every bit of the entry-ordered sum."""
+
+    @pytest.mark.parametrize("variant", ["exact", "taylor2"])
+    @pytest.mark.parametrize("kind", MODE_SET_KINDS)
+    @pytest.mark.parametrize("set_name", ["set1", "set2"])
+    def test_matches_entry_ordered_reference(self, request, set_name, kind, variant):
+        params = request.getfixturevalue(set_name)
+        grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
+        rr, tt = grid.mesh()
+        ms = build_mode_set(kind, params)
+        kernels = grid_kernel_stack(grid, ms, params)
+        for tau in (0.0, 123.4):
+            ref = _entry_ordered_field(rr, tt, tau, ms, params, variant)
+            assert ref.tobytes() == _entry_ordered_field(
+                rr, tt, tau, ms, params, variant, kernels
+            ).tobytes()
+            for passed in (None, kernels):
+                field = mode_sum_field(rr, tt, tau, ms, params, variant, kernels=passed)
+                assert field.shape == ref.shape and field.dtype == ref.dtype
+                assert field.tobytes() == ref.tobytes()
+
+    def test_component_without_terms_is_zero(self, set1):
+        # the n = 0 mode (s = -1, lambda_k = +1) has no Q_{-1}: it feeds psi_4 only
+        ms = _single_mode_set(ModeIndex(0, -1, +1), set1)
+        rr, tt = PolarGrid(rho_max=3.0, n_rho=4, n_theta=5).mesh()
+        field = mode_sum_field(rr, tt, 1.0, ms, set1)
+        assert not np.any(field[:3])
+        assert np.any(field[3])
+        assert field.tobytes() == _entry_ordered_field(rr, tt, 1.0, ms, set1, "exact").tobytes()
 
 
 class TestUnitarityAndFidelity:
