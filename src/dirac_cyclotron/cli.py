@@ -63,29 +63,12 @@ def fmt(x) -> str:
 
 
 _PHYSICS_KEYS = ("lambda_over_a", "qa", "alpha", "beta")
-_GRID_KEYS = ("rho_max", "n_rho", "n_theta")
-
-# keys accepted per scenario: (required, optional-with-default)
-_SCENARIO_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "timescales": (_PHYSICS_KEYS, ("trunc_tol", "output")),
-    "velocity": (_PHYSICS_KEYS + ("t_end",), ("t_start", "n_samples", "trunc_tol", "output")),
-    "spin-trace": (_PHYSICS_KEYS + ("t_end",), ("t_start", "n_samples", "trunc_tol", "output")),
-    "density-map": (
-        _PHYSICS_KEYS + ("t",),
-        ("packet", "spectrum", "trunc_tol", "output") + _GRID_KEYS,
-    ),
-    "spin-map": (_PHYSICS_KEYS + ("t",), ("trunc_tol", "output") + _GRID_KEYS),
-    "jc-velocity": (_PHYSICS_KEYS + ("t_end",), ("t_start", "n_samples", "trunc_tol", "output")),
-    "jc-spin": (_PHYSICS_KEYS + ("t_end",), ("t_start", "n_samples", "trunc_tol", "output")),
-    "cat": (_PHYSICS_KEYS + ("t_end",), ("t_start", "n_samples", "trunc_tol", "output")),
-    "fractional": (
-        _PHYSICS_KEYS + ("m", "n"),
-        ("t", "trunc_tol", "output") + _GRID_KEYS,
-    ),
-    "validate": ((), ("quick", "output")),
-}
+_GRID_KEYS = ("trunc_tol", "output", "rho_max", "n_rho", "n_theta")
+# (required, optional-with-default) keys of every time-trace scenario
+_TRACE_KEYS = (_PHYSICS_KEYS + ("t_end",), ("t_start", "n_samples", "trunc_tol", "output"))
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_KINDS = {float: "a number", int: "an integer", bool: "a boolean"}
 
 
 @dataclass
@@ -109,7 +92,7 @@ def parse_config(text: str) -> list[Scenario]:
             if not line.endswith("]"):
                 raise ConfigError(f"line {lineno}: malformed section header {line!r}")
             name = line[1:-1].strip()
-            if name not in _SCENARIO_KEYS:
+            if name not in _SCENARIOS:
                 raise ConfigError(f"line {lineno}: unknown scenario {name!r}")
             current = Scenario(name=name, line=lineno)
             scenarios.append(current)
@@ -120,7 +103,7 @@ def parse_config(text: str) -> list[Scenario]:
             raise ConfigError(f"line {lineno}: key outside of a [scenario] section")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        required, optional = _SCENARIO_KEYS[current.name]
+        required, optional, _ = _SCENARIOS[current.name]
         if key not in required + optional:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r} for scenario {current.name!r}"
@@ -131,7 +114,7 @@ def parse_config(text: str) -> list[Scenario]:
     if not scenarios:
         raise ConfigError("config contains no scenario sections")
     for scn in scenarios:
-        required, _ = _SCENARIO_KEYS[scn.name]
+        required, _, _ = _SCENARIOS[scn.name]
         missing = [k for k in required if k not in scn.values]
         if missing:
             raise ConfigError(
@@ -158,58 +141,17 @@ def resolve_time(expr: str, scales: DerivedScales) -> float:
         raise ConfigError(f"cannot parse time expression {expr!r}") from None
 
 
-def _get_float(scn: Scenario, key: str, default: float | None = None) -> float:
+def _get(scn: Scenario, key: str, kind: type, default=None):
+    """The value of ``key`` parsed as ``kind`` (float, int or bool), or ``default``."""
     if key not in scn.values:
-        assert default is not None
         return default
+    value = scn.values[key]
     try:
-        return float(scn.values[key])
-    except ValueError:
+        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
         raise ConfigError(
-            f"scenario {scn.name!r}: key {key!r} is not a number: {scn.values[key]!r}"
+            f"scenario {scn.name!r}: key {key!r} is not {_KINDS[kind]}: {value!r}"
         ) from None
-
-
-def _get_int(scn: Scenario, key: str, default: int | None = None) -> int:
-    if key not in scn.values:
-        assert default is not None
-        return default
-    try:
-        return int(scn.values[key])
-    except ValueError:
-        raise ConfigError(
-            f"scenario {scn.name!r}: key {key!r} is not an integer: {scn.values[key]!r}"
-        ) from None
-
-
-def _build_params(scn: Scenario) -> ModelParams:
-    try:
-        params = ModelParams(
-            lambda_over_a=_get_float(scn, "lambda_over_a"),
-            qa=_get_float(scn, "qa"),
-            alpha=_get_float(scn, "alpha"),
-            beta=_get_float(scn, "beta"),
-            trunc_tol=_get_float(scn, "trunc_tol", 1e-12),
-        )
-        truncation_window(params)
-        return params
-    except ValueError as exc:
-        raise ConfigError(f"scenario {scn.name!r}: {exc}") from None
-
-
-def _build_grid(scn: Scenario, params: ModelParams) -> PolarGrid:
-    grid = PolarGrid(
-        rho_max=_get_float(scn, "rho_max", params.qa + 6.0),
-        n_rho=_get_int(scn, "n_rho", 120),
-        n_theta=_get_int(scn, "n_theta", 256),
-    )
-    if not 0.0 < grid.rho_max < math.inf:
-        raise ConfigError("rho_max must be positive and finite")
-    if grid.n_rho < 2:
-        raise ConfigError("n_rho must be >= 2")
-    if grid.n_theta < 1:
-        raise ConfigError("n_theta must be >= 1")
-    return grid
 
 
 def _header_lines(pairs: list[tuple[str, str]], timestamp: bool) -> list[str]:
@@ -297,171 +239,192 @@ def _now(func, *args) -> Future:
     return future
 
 
-def _common_header(scn: Scenario, params: ModelParams) -> list[tuple[str, str]]:
-    win = truncation_window(params)
-    return [
-        ("scenario", scn.name),
-        ("lambda_over_a", fmt(params.lambda_over_a)),
-        ("qa", fmt(params.qa)),
-        ("alpha", fmt(params.alpha)),
-        ("beta", fmt(params.beta)),
-        ("trunc_tol", fmt(params.trunc_tol)),
-        ("window_n_min", str(win.n_min)),
-        ("window_n_max", str(win.n_max)),
-    ]
+# -- scenarios ----------------------------------------------------------------
+# Each scenario function checks and resolves every key of its section before
+# anything is computed, and returns (header pairs, columns, compute step, map
+# grid); the compute step takes the grid axes of a map and nothing otherwise.
+# Series are looked up as module globals when a section computes, never
+# captured when the table is built, so a rebound global (a test fake, a
+# tracer) serves every later run.
 
 
-def _time_axis(scn: Scenario, scales: DerivedScales) -> tuple[np.ndarray, list[tuple[str, str]]]:
-    t_start = resolve_time(scn.values.get("t_start", "0.0"), scales)
-    t_end = resolve_time(scn.values["t_end"], scales)
-    n_samples = _get_int(scn, "n_samples", 1024)
-    if n_samples < 2:
-        raise ConfigError("n_samples must be >= 2")
-    if not t_end > t_start:
-        raise ConfigError("t_end must be greater than t_start")
-    taus = np.linspace(t_start, t_end, n_samples)
-    echo = [
-        ("t_start", fmt(t_start)),
-        ("t_end", fmt(t_end)),
-        ("n_samples", str(n_samples)),
-    ]
-    return taus, echo
+def _physics(scn: Scenario) -> tuple[ModelParams, list[tuple[str, str]]]:
+    """Check the physics keys and trunc_tol, and build the window.
+
+    Returns the params and the header pairs every physics artifact starts with.
+    """
+    try:
+        params = ModelParams(
+            **{key: _get(scn, key, float) for key in _PHYSICS_KEYS},
+            trunc_tol=_get(scn, "trunc_tol", float, 1e-12),
+        )
+        win = truncation_window(params)
+    except ValueError as exc:
+        raise ConfigError(f"scenario {scn.name!r}: {exc}") from None
+    header = [("scenario", scn.name)]
+    header += [(key, fmt(getattr(params, key))) for key in (*_PHYSICS_KEYS, "trunc_tol")]
+    header += [("window_n_min", str(win.n_min)), ("window_n_max", str(win.n_max))]
+    return params, header
 
 
-def _grid_header(grid: PolarGrid) -> list[tuple[str, str]]:
-    return [
-        ("rho_max", fmt(grid.rho_max)),
-        ("n_rho", str(grid.n_rho)),
-        ("n_theta", str(grid.n_theta)),
-    ]
+def _timescales(scn: Scenario):
+    params, header = _physics(scn)
+    s = derived_scales(params)
+    columns = {
+        "n0": s.n0,
+        "T_cl_lambda_over_c": s.T_cl,
+        "T_D_lambda_over_c": s.T_D,
+        "T_R_lambda_over_c": s.T_R,
+        "omega_c_c_over_lambda": s.omega_c,
+        "omega_zb_c_over_lambda": s.omega_zb,
+        "T_cl_seconds": s.T_cl * TIME_UNIT_SECONDS,
+        "T_D_seconds": s.T_D * TIME_UNIT_SECONDS,
+        "T_R_seconds": s.T_R * TIME_UNIT_SECONDS,
+        "omega_zb_per_second": s.omega_zb / TIME_UNIT_SECONDS,
+        "B_tesla": s.B_tesla,
+    }
+    return header, list(columns), lambda: list(columns.values()), None
 
 
-def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) -> Path:
-    """Execute one scenario and write its CSV artifact; returns the path."""
-    if scn.name == "validate":
-        quick = _BOOLEANS.get(scn.values.get("quick", "false").lower())
-        if quick is None:
-            raise ConfigError(
-                f"scenario 'validate': key 'quick' is not a boolean: {scn.values['quick']!r}"
-            )
-        path = out_dir / scn.values.get("output", "validate.csv")
-        _, ok = _write_validation(path, quick, threads, timestamp)
-        if not ok:
-            raise ArithmeticError("validation deviations exceed thresholds")
-        return path
+def _trace(columns: tuple[str, ...], series, extra=None):
+    """A time-trace scenario: ``series(taus, params)`` gives the columns after tau.
 
-    params = _build_params(scn)
-    scales = derived_scales(params)
-    header = _common_header(scn, params)
-    path = out_dir / scn.values.get("output", f"{scn.name}.csv")
+    ``extra(params)``, if given, is one more (key, value) header pair.
+    """
 
-    if scn.name == "timescales":
-        columns = [
-            "n0",
-            "T_cl_lambda_over_c",
-            "T_D_lambda_over_c",
-            "T_R_lambda_over_c",
-            "omega_c_c_over_lambda",
-            "omega_zb_c_over_lambda",
-            "T_cl_seconds",
-            "T_D_seconds",
-            "T_R_seconds",
-            "omega_zb_per_second",
-            "B_tesla",
-        ]
-        values = [
-            scales.n0,
-            scales.T_cl,
-            scales.T_D,
-            scales.T_R,
-            scales.omega_c,
-            scales.omega_zb,
-            scales.T_cl * TIME_UNIT_SECONDS,
-            scales.T_D * TIME_UNIT_SECONDS,
-            scales.T_R * TIME_UNIT_SECONDS,
-            scales.omega_zb / TIME_UNIT_SECONDS,
-            scales.B_tesla,
-        ]
-        _write_table(path, header, columns, values, timestamp)
-        return path
+    def check(scn: Scenario):
+        params, header = _physics(scn)
+        scales = derived_scales(params)
+        t_start = resolve_time(scn.values.get("t_start", "0.0"), scales)
+        t_end = resolve_time(scn.values["t_end"], scales)
+        n_samples = _get(scn, "n_samples", int, 1024)
+        if n_samples < 2:
+            raise ConfigError("n_samples must be >= 2")
+        if not t_end > t_start:
+            raise ConfigError("t_end must be greater than t_start")
+        taus = np.linspace(t_start, t_end, n_samples)
+        header += [("t_start", fmt(t_start)), ("t_end", fmt(t_end)),
+                   ("n_samples", str(n_samples))]
+        if extra is not None:
+            header.append(extra(params))
+        return (header, ["tau_lambda_over_c", *columns],
+                lambda: (taus, *series(taus, params)), None)
 
-    if scn.name in ("velocity", "spin-trace", "jc-velocity", "jc-spin", "cat"):
-        taus, echo = _time_axis(scn, scales)
-        header += echo
-        if scn.name == "velocity":
-            values = mean_velocity_positive(taus, params)
-            columns = ["tau_lambda_over_c", "vx_c", "vy_c"]
-        elif scn.name == "spin-trace":
-            values = mean_spin_transverse(taus, params)
-            columns = ["tau_lambda_over_c", "Sx_hbar_over_2", "Sy_hbar_over_2"]
-        elif scn.name == "jc-velocity":
-            values = mean_velocity_jc(taus, params)
-            columns = ["tau_lambda_over_c", "vx_c", "vy_c"]
-        elif scn.name == "jc-spin":
-            header.append(("Sz_plateau_hbar_over_2", fmt(spin_z_plateau_jc(params))))
-            values = (mean_spin_z_jc(taus, params),)
-            columns = ["tau_lambda_over_c", "Sz_hbar_over_2"]
-        else:  # cat
-            header.append(
-                ("overlap_quarter_period", fmt(cat_overlap_closed_form(params)))
-            )
-            values = ([cat_decomposition(t, params)[2] for t in taus.tolist()],)
-            columns = ["tau_lambda_over_c", "spin_factor_overlap"]
-        _write_table(path, header, columns, (taus, *values), timestamp)
-        return path
+    return check
 
-    # map scenarios
-    grid = _build_grid(scn, params)
-    header += _grid_header(grid)
-    rr, tt = np.ix_(grid.rho, grid.theta)
-    columns = ["rho_a", "theta_rad"]
 
-    if scn.name == "density-map":
-        packet = scn.values.get("packet", "positive")
-        spectrum = scn.values.get("spectrum", "exact")
-        if packet not in ("positive", "two_band"):
-            raise ConfigError(f"unknown packet {packet!r}")
-        if spectrum not in ("exact", "taylor2"):
-            raise ConfigError(f"unknown spectrum {spectrum!r}")
-        tau = resolve_time(scn.values["t"], scales)
-        header += [("t", fmt(tau)), ("packet", packet), ("spectrum", spectrum)]
+def _map(scn: Scenario) -> tuple[ModelParams, DerivedScales, list[tuple[str, str]], PolarGrid]:
+    """Check the physics and grid keys of a map scenario."""
+    params, header = _physics(scn)
+    grid = PolarGrid(
+        rho_max=_get(scn, "rho_max", float, params.qa + 6.0),
+        n_rho=_get(scn, "n_rho", int, 120),
+        n_theta=_get(scn, "n_theta", int, 256),
+    )
+    if not 0.0 < grid.rho_max < math.inf:
+        raise ConfigError("rho_max must be positive and finite")
+    if grid.n_rho < 2:
+        raise ConfigError("n_rho must be >= 2")
+    if grid.n_theta < 1:
+        raise ConfigError("n_theta must be >= 1")
+    header += [("rho_max", fmt(grid.rho_max)), ("n_rho", str(grid.n_rho)),
+               ("n_theta", str(grid.n_theta))]
+    return params, derived_scales(params), header, grid
+
+
+def _density_map(scn: Scenario):
+    params, scales, header, grid = _map(scn)
+    packet = scn.values.get("packet", "positive")
+    spectrum = scn.values.get("spectrum", "exact")
+    if packet not in ("positive", "two_band"):
+        raise ConfigError(f"unknown packet {packet!r}")
+    if spectrum not in ("exact", "taylor2"):
+        raise ConfigError(f"unknown spectrum {spectrum!r}")
+    tau = resolve_time(scn.values["t"], scales)
+    header += [("t", fmt(tau)), ("packet", packet), ("spectrum", spectrum)]
+
+    def density(rr, tt):
         if spectrum == "exact" and packet == "positive":
             psi = positive_energy_field(rr, tt, tau, params)
         elif spectrum == "exact":
             psi = jc_spinor(rr, tt, tau, params)
         else:
             kind = "positive_only" if packet == "positive" else "two_band"
-            psi = mode_sum_field(
-                rr, tt, tau, build_mode_set(kind, params), params, "taylor2"
-            )
-        dens = np.sum(np.abs(psi) ** 2, axis=0)
-        _write_table(path, header, columns + ["density_per_a2"], (dens,), timestamp, grid)
-        return path
+            psi = mode_sum_field(rr, tt, tau, build_mode_set(kind, params), params, "taylor2")
+        return (np.sum(np.abs(psi) ** 2, axis=0),)
 
-    if scn.name == "spin-map":
-        tau = resolve_time(scn.values["t"], scales)
-        header.append(("t", fmt(tau)))
-        sx, sy = spin_density(rr, tt, tau, params)
-        columns += ["sigma_x_per_a2", "sigma_y_per_a2"]
-        _write_table(path, header, columns, (sx, sy), timestamp, grid)
-        return path
+    return header, ["rho_a", "theta_rad", "density_per_a2"], density, grid
 
-    if scn.name == "fractional":
-        m = _get_int(scn, "m")
-        n = _get_int(scn, "n")
-        if not 1 <= n <= 8:
-            raise ConfigError(f"fractional revivals are supported for 1 <= n <= 8, got n = {n}")
-        if math.gcd(m, n) != 1:
-            raise ConfigError(f"m/n = {m}/{n} is not an irreducible fraction")
-        default_t = f"{m / n}*T_R"
-        tau = resolve_time(scn.values.get("t", default_t), scales)
-        header += [("m", str(m)), ("n", str(n)), ("t", fmt(tau))]
-        psi = fractional_revival_field(rr, tt, tau, m, n, params)
-        dens = np.sum(np.abs(psi) ** 2, axis=0)
-        _write_table(path, header, columns + ["density_per_a2"], (dens,), timestamp, grid)
-        return path
 
-    raise ConfigError(f"unknown scenario {scn.name!r}")  # pragma: no cover
+def _spin_map(scn: Scenario):
+    params, scales, header, grid = _map(scn)
+    tau = resolve_time(scn.values["t"], scales)
+    header.append(("t", fmt(tau)))
+    columns = ["rho_a", "theta_rad", "sigma_x_per_a2", "sigma_y_per_a2"]
+    return header, columns, lambda rr, tt: spin_density(rr, tt, tau, params), grid
+
+
+def _fractional(scn: Scenario):
+    params, scales, header, grid = _map(scn)
+    m, n = _get(scn, "m", int), _get(scn, "n", int)
+    if not 1 <= n <= 8:
+        raise ConfigError(f"fractional revivals are supported for 1 <= n <= 8, got n = {n}")
+    if math.gcd(m, n) != 1:
+        raise ConfigError(f"m/n = {m}/{n} is not an irreducible fraction")
+    tau = resolve_time(scn.values.get("t", f"{m / n}*T_R"), scales)
+    header += [("m", str(m)), ("n", str(n)), ("t", fmt(tau))]
+
+    def density(rr, tt):
+        return (np.sum(np.abs(fractional_revival_field(rr, tt, tau, m, n, params)) ** 2, axis=0),)
+
+    return header, ["rho_a", "theta_rad", "density_per_a2"], density, grid
+
+
+# scenario -> (required keys, optional keys, scenario function); the
+# scenario function of `validate` returns only its resolved `quick`
+_SCENARIOS = {
+    "timescales": (_PHYSICS_KEYS, ("trunc_tol", "output"), _timescales),
+    "velocity": (*_TRACE_KEYS, _trace(
+        ("vx_c", "vy_c"), lambda taus, p: mean_velocity_positive(taus, p))),
+    "spin-trace": (*_TRACE_KEYS, _trace(
+        ("Sx_hbar_over_2", "Sy_hbar_over_2"), lambda taus, p: mean_spin_transverse(taus, p))),
+    "density-map": (_PHYSICS_KEYS + ("t",), _GRID_KEYS + ("packet", "spectrum"), _density_map),
+    "spin-map": (_PHYSICS_KEYS + ("t",), _GRID_KEYS, _spin_map),
+    "jc-velocity": (*_TRACE_KEYS, _trace(
+        ("vx_c", "vy_c"), lambda taus, p: mean_velocity_jc(taus, p))),
+    "jc-spin": (*_TRACE_KEYS, _trace(
+        ("Sz_hbar_over_2",), lambda taus, p: (mean_spin_z_jc(taus, p),),
+        lambda p: ("Sz_plateau_hbar_over_2", fmt(spin_z_plateau_jc(p))))),
+    "cat": (*_TRACE_KEYS, _trace(
+        ("spin_factor_overlap",),
+        lambda taus, p: ([cat_decomposition(t, p)[2] for t in taus.tolist()],),
+        lambda p: ("overlap_quarter_period", fmt(cat_overlap_closed_form(p))))),
+    "fractional": (_PHYSICS_KEYS + ("m", "n"), _GRID_KEYS + ("t",), _fractional),
+    "validate": ((), ("quick", "output"), lambda scn: _get(scn, "quick", bool, False)),
+}
+
+
+def _check(scn: Scenario):
+    """Check and resolve every key of a section; nothing is computed or written."""
+    return _SCENARIOS[scn.name][2](scn)
+
+
+def _artifact_name(scn: Scenario) -> str:
+    return scn.values.get("output", f"{scn.name}.csv")
+
+
+def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) -> Path:
+    """Check one scenario, compute it and write its CSV artifact; returns the path."""
+    path = out_dir / _artifact_name(scn)
+    if scn.name == "validate":
+        _, ok = _write_validation(path, _check(scn), threads, timestamp)
+        if not ok:
+            raise ArithmeticError("validation deviations exceed thresholds")
+        return path
+    header, columns, compute, grid = _check(scn)
+    axes = () if grid is None else np.ix_(grid.rho, grid.theta)
+    _write_table(path, header, columns, compute(*axes), timestamp, grid)
+    return path
 
 
 # -- validation ---------------------------------------------------------------
@@ -596,28 +559,27 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
 
 
 def main(argv=None) -> int:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--no-timestamp", action="store_true",
+                        help="omit the timestamp header line (bit-exact artifacts)")
     parser = argparse.ArgumentParser(
         prog="dirac-cyclotron",
         description="Cyclotron dynamics of relativistic Dirac wave packets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="execute the scenarios in a config file")
+    run_p = sub.add_parser("run", parents=[common], help="execute the scenarios in a config file")
     run_p.add_argument("config", type=Path)
-    run_p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    run_p.add_argument("--threads", type=int, default=1)
-    run_p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the timestamp header line (bit-exact artifacts)")
-
-    val_p = sub.add_parser("validate", help="oracle-vs-closed-form deviation report")
+    val_p = sub.add_parser("validate", parents=[common],
+                           help="oracle-vs-closed-form deviation report")
     val_p.add_argument("--quick", action="store_true")
-    val_p.add_argument("--out", type=Path, default=Path("."))
-    val_p.add_argument("--threads", type=int, default=1)
-    val_p.add_argument("--no-timestamp", action="store_true")
 
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "validate":
             args.out.mkdir(parents=True, exist_ok=True)
             rows, ok = _write_validation(
@@ -630,13 +592,19 @@ def main(argv=None) -> int:
                 return 2
             return 0
 
-        text = args.config.read_text()
-        scenarios = parse_config(text)
-        # a section's physics is checked (and its window built) before any
-        # section writes, so an invalid later section leaves no artifact
+        scenarios = parse_config(args.config.read_text())
+        # every section is checked and its artifact path claimed before the
+        # output directory is made, so an invalid config leaves no artifact
+        paths: set[Path] = set()
         for scn in scenarios:
-            if scn.name != "validate":
-                _build_params(scn)
+            _check(scn)
+            path = (args.out / _artifact_name(scn)).resolve()
+            if path in paths:
+                raise ConfigError(
+                    f"scenario {scn.name!r} (line {scn.line}): artifact {str(path)!r} "
+                    "is already written by an earlier section"
+                )
+            paths.add(path)
         args.out.mkdir(parents=True, exist_ok=True)
         for scn in scenarios:
             path = run_scenario(scn, args.out, args.threads, not args.no_timestamp)

@@ -13,9 +13,14 @@ import math
 
 import numpy as np
 
-from .basis import KahanAccumulator, levels
+from .basis import KahanAccumulator, _log_weight_sq, levels
 from .fields import PolarGrid
 from .spectrum import ModelParams, taylor, taylor_at
+
+
+def _pair_log_weight(n: int, qa: float) -> float:
+    """log(sqrt(2(n+1)) c_{n+1} c_{n+2}) = log(qa^(2n+1) e^(-qa^2/2) / (2^n n!))."""
+    return -0.5 * qa**2 + (2 * n + 1) * math.log(qa) - n * math.log(2.0) - math.lgamma(n + 1)
 
 
 def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -33,13 +38,7 @@ def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.nda
     b2 = params.beta**2
     acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
     for n in range(win.n_min - 1, win.n_max - 1):
-        log_w = (
-            -0.5 * qa**2
-            + (2 * n + 1) * math.log(qa)
-            - n * math.log(2.0)
-            - math.lgamma(n + 1)
-        )
-        w = math.exp(log_w) * math.sqrt(
+        w = math.exp(_pair_log_weight(n, qa)) * math.sqrt(
             (p[n + 1] - 1.0) / (2.0 * (n + 1) * p[n + 1])
         )
         term = np.zeros(tau.shape, dtype=complex)
@@ -107,19 +106,14 @@ def mean_spin_transverse(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     qa = params.qa
     table = levels(params)
     win, p = table.window, table.phi
-    lam = 0.5 * qa**2
     acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
-
-    def log_w(m: int) -> float:
-        return -lam + m * math.log(lam) - math.lgamma(m + 1)
-
     for m in range(win.n_min - 1, win.n_max):
-        w = math.exp(log_w(m)) * math.sqrt(
+        w = math.exp(_log_weight_sq(m + 1, qa)) * math.sqrt(
             (p[m] + 1.0) * (p[m + 1] + 1.0) / (p[m] * p[m + 1])
         )
         acc.add(w * np.exp(1j * (p[m + 1] - p[m]) * tau))
     for m in range(win.n_min, win.n_max - 1):
-        w = math.exp(log_w(m)) * math.sqrt(
+        w = math.exp(_log_weight_sq(m + 1, qa)) * math.sqrt(
             m * (p[m] - 1.0) * (p[m + 1] - 1.0) / ((m + 1) * p[m] * p[m + 1])
         )
         acc.add(w * np.exp(1j * (p[m + 1] - p[m]) * tau))
@@ -237,13 +231,7 @@ def mean_velocity_jc(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     acc_x = KahanAccumulator(np.zeros(tau.shape))
     acc_y = KahanAccumulator(np.zeros(tau.shape))
     for n in range(win.n_min, win.n_max):
-        log_w = (
-            -0.5 * qa**2
-            + (2 * n - 1) * math.log(qa)
-            - (n - 1) * math.log(2.0)
-            - math.lgamma(n)
-        )
-        w = math.exp(log_w)
+        w = math.exp(_pair_log_weight(n - 1, qa))
         diff = (p[n + 1] - p[n]) * tau
         summ = (p[n + 1] + p[n]) * tau
         acc_x.add(w / (p[n] * p[n + 1]) * (np.cos(diff) - np.cos(summ)))

@@ -49,6 +49,10 @@ t = 0.0
 """
 
 
+# the physics keys of SET1 under a section header to fill in
+PHYSICS = "[{}]\nlambda_over_a = 0.1\nqa = 5\nalpha = 1\nbeta = 1\n"
+
+
 SMALL_SPIN_MAP = """\
 [spin-map]
 lambda_over_a = 0.1
@@ -293,15 +297,37 @@ class TestExitCodes:
         assert "error: config" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_later_bad_section_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "section, fragment",
+        [
+            (DENSITY_MAP + "n_rho = 1\n", "n_rho"),
+            (PHYSICS.format("spin-trace") + "t_end = two periods\n", "cannot parse time"),
+            ("[validate]\nquick = ture\n", "not a boolean"),
+            (DENSITY_MAP + "packet = tachyonic\n", "unknown packet"),
+            (PHYSICS.format("fractional") + "m = 2\nn = 4\n", "irreducible"),
+            (PHYSICS.format("timescales") + "output = velocity.csv\n", "velocity.csv"),
+            (PHYSICS.format("timescales") + "output = sub/../velocity.csv\n", "velocity.csv"),
+            ("[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n"
+             "trunc_tol = 1e-17\n", "trunc_tol"),
+        ],
+        ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
+             "duplicate_resolved_output", "trunc_tol"],
+    )
+    def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            GOOD_CONFIG
-            + "[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n"
-            "trunc_tol = 1e-17\n"
-        )
+        cfg.write_text(GOOD_CONFIG + section)
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
-        assert "trunc_tol" in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, command, threads):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        args = [str(cfg)] if command == "run" else ["--quick"]
+        assert main([command, *args, "--out", str(tmp_path), "--threads", threads]) == 1
+        assert "error: config: --threads" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("value", ["ture", "2", ""])
