@@ -27,25 +27,18 @@ class KahanAccumulator:
     which makes every series bit-reproducible regardless of how outer loops
     are scheduled.
 
-    An array sum is updated in place: the same four IEEE operations in the
-    same order, written into its own sum, compensation and one scratch
-    array, so each term must fit the sum's shape and dtype.  ``total`` is
-    then a live buffer that the next ``add`` overwrites.  A 0-d sum keeps
-    scalar arithmetic.
+    The sum is updated in place: the same four IEEE operations in the same
+    order, written into its own sum, compensation and one scratch array, so
+    each term must fit the sum's shape and dtype.  ``total`` is then a live
+    buffer that the next ``add`` overwrites; a 0-d sum gives a numpy scalar.
     """
 
     def __init__(self, like):
         self._s = np.zeros_like(like)
         self._c = np.zeros_like(like)
-        self._y = np.empty_like(self._s) if self._s.ndim else None
+        self._y = np.empty_like(self._s)
 
     def add(self, x):
-        if self._y is None:
-            y = x - self._c
-            t = self._s + y
-            self._c = (t - self._s) - y
-            self._s = t
-            return
         y, s, c = self._y, self._s, self._c
         np.subtract(x, c, out=y)
         np.add(s, y, out=c)  # t = s + y; the old c is spent
@@ -55,18 +48,15 @@ class KahanAccumulator:
 
     @property
     def total(self):
-        return self._s
+        return self._s[()]
 
 
-def kahan_sum(terms, like=None):
+def kahan_sum(terms):
     """Compensated sum of an iterable of scalars/arrays, in iteration order."""
     it = iter(terms)
-    if like is None:
-        first = next(it)
-        acc = KahanAccumulator(np.asarray(first, dtype=np.result_type(first, 0.0)))
-        acc.add(first)
-    else:
-        acc = KahanAccumulator(like)
+    first = next(it)
+    acc = KahanAccumulator(np.asarray(first, dtype=np.result_type(first, 0.0)))
+    acc.add(first)
     for t in it:
         acc.add(t)
     return acc.total
@@ -254,7 +244,6 @@ class ModeSet:
 
     kind: str
     entries: tuple[tuple[ModeIndex, complex], ...]
-    window: TruncationWindow
 
     @property
     def n_max(self) -> int:
@@ -311,4 +300,4 @@ def build_mode_set(kind: str, params: ModelParams) -> ModeSet:
             entries.append((ModeIndex(n, -1, +1), a_neg))
 
     entries.sort(key=lambda e: (e[0].n, -e[0].s, -e[0].lambda_k))
-    return ModeSet(kind=kind, entries=tuple(entries), window=win)
+    return ModeSet(kind=kind, entries=tuple(entries))

@@ -29,6 +29,7 @@ from .fields import (
     PolarGrid,
     cat_decomposition,
     cat_overlap_closed_form,
+    default_grid,
     fractional_revival_field,
     jc_spinor,
     positive_energy_field,
@@ -132,13 +133,13 @@ _TIME_EXPR = re.compile(
 def resolve_time(expr: str, scales: DerivedScales) -> float:
     """Resolve '1.2*T_R' / 'T_cl' / plain-number time strings to tau in lambda/c."""
     m = _TIME_EXPR.match(expr)
-    if m:
-        mult = float(m.group("mult")) if m.group("mult") else 1.0
-        return mult * getattr(scales, m.group("anchor"))
     try:
-        return float(expr)
+        tau = float(m["mult"] or 1.0) * getattr(scales, m["anchor"]) if m else float(expr)
     except ValueError:
         raise ConfigError(f"cannot parse time expression {expr!r}") from None
+    if not math.isfinite(tau):
+        raise ConfigError(f"time expression {expr!r} is not a finite number")
+    return tau
 
 
 def _get(scn: Scenario, key: str, kind: type, default=None):
@@ -218,20 +219,6 @@ def _write_table(
     _write_artifact(path, header, columns, lines, timestamp)
 
 
-def _write_validation(path: Path, quick: bool, threads: int, timestamp: bool) -> tuple[list, bool]:
-    """Run ``validation_report`` and write it as the validate artifact."""
-    rows, ok = validation_report(quick=quick, threads=threads)
-    lines = [f"{name},{fmt(dev)},{fmt(thr)},{status}" for name, dev, thr, status in rows]
-    _write_artifact(
-        path,
-        [("scenario", "validate"), ("quick", str(quick).lower())],
-        ["check", "max_abs_deviation", "threshold", "status"],
-        lines,
-        timestamp,
-    )
-    return rows, ok
-
-
 def _now(func, *args) -> Future:
     """Run func on this thread: the one-thread stand-in for ``pool.submit``."""
     future: Future = Future()
@@ -256,7 +243,7 @@ def _physics(scn: Scenario) -> tuple[ModelParams, list[tuple[str, str]]]:
     try:
         params = ModelParams(
             **{key: _get(scn, key, float) for key in _PHYSICS_KEYS},
-            trunc_tol=_get(scn, "trunc_tol", float, 1e-12),
+            trunc_tol=_get(scn, "trunc_tol", float, ModelParams.trunc_tol),
         )
         win = truncation_window(params)
     except ValueError as exc:
@@ -316,10 +303,11 @@ def _trace(columns: tuple[str, ...], series, extra=None):
 def _map(scn: Scenario) -> tuple[ModelParams, DerivedScales, list[tuple[str, str]], PolarGrid]:
     """Check the physics and grid keys of a map scenario."""
     params, header = _physics(scn)
+    default = default_grid(params)
     grid = PolarGrid(
-        rho_max=_get(scn, "rho_max", float, params.qa + 6.0),
-        n_rho=_get(scn, "n_rho", int, 120),
-        n_theta=_get(scn, "n_theta", int, 256),
+        rho_max=_get(scn, "rho_max", float, default.rho_max),
+        n_rho=_get(scn, "n_rho", int, default.n_rho),
+        n_theta=_get(scn, "n_theta", int, default.n_theta),
     )
     if not 0.0 < grid.rho_max < math.inf:
         raise ConfigError("rho_max must be positive and finite")
@@ -414,10 +402,24 @@ def _artifact_name(scn: Scenario) -> str:
 
 
 def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) -> Path:
-    """Check one scenario, compute it and write its CSV artifact; returns the path."""
+    """Check one scenario, compute it and write its CSV artifact; returns the path.
+
+    ``validate`` also prints its row table, and raises ArithmeticError once
+    its artifact is written if any check failed.
+    """
     path = out_dir / _artifact_name(scn)
     if scn.name == "validate":
-        _, ok = _write_validation(path, _check(scn), threads, timestamp)
+        quick = _check(scn)
+        rows, ok = validation_report(quick=quick, threads=threads)
+        for name, dev, thr, status in rows:
+            print(f"{status:4s}  {name}  max|dev|={dev:.3e}  thr={thr:.0e}")
+        _write_artifact(
+            path,
+            [("scenario", "validate"), ("quick", str(quick).lower())],
+            ["check", "max_abs_deviation", "threshold", "status"],
+            [f"{name},{fmt(dev)},{fmt(thr)},{status}" for name, dev, thr, status in rows],
+            timestamp,
+        )
         if not ok:
             raise ArithmeticError("validation deviations exceed thresholds")
         return path
@@ -445,12 +447,9 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     rng = np.random.default_rng(VALIDATE_SEED)
     n_field_times = 2 if quick else 5
     n_obs_times = 3 if quick else 10
-    field_grid1 = PolarGrid(rho_max=SET1.qa + 6.0, n_rho=50, n_theta=64)
-    field_grid2 = PolarGrid(rho_max=SET2.qa + 6.0, n_rho=50, n_theta=64)
-    quad_grid1 = PolarGrid(rho_max=SET1.qa + 6.0, n_rho=60 if quick else 120,
-                           n_theta=128 if quick else 256)
-    quad_grid2 = PolarGrid(rho_max=SET2.qa + 6.0, n_rho=60 if quick else 120,
-                           n_theta=128 if quick else 256)
+    field_grid1, field_grid2 = default_grid(SET1, 50, 64), default_grid(SET2, 50, 64)
+    quad_shape = (60, 128) if quick else ()  # () keeps the default grid
+    quad_grid1, quad_grid2 = default_grid(SET1, *quad_shape), default_grid(SET2, *quad_shape)
     sc1 = derived_scales(SET1)
     sc2 = derived_scales(SET2)
     rows: list[tuple] = []
@@ -580,31 +579,23 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        if args.command == "validate":
-            args.out.mkdir(parents=True, exist_ok=True)
-            rows, ok = _write_validation(
-                args.out / "validate.csv", args.quick, args.threads, not args.no_timestamp
-            )
-            for name, dev, thr, status in rows:
-                print(f"{status:4s}  {name}  max|dev|={dev:.3e}  thr={thr:.0e}")
-            if not ok:
-                print("error: validation deviations exceed thresholds", file=sys.stderr)
-                return 2
-            return 0
-
-        scenarios = parse_config(args.config.read_text())
+        scenarios = parse_config(
+            args.config.read_text() if args.command == "run"
+            else f"[validate]\nquick = {'yes' if args.quick else 'no'}\n"
+        )
         # every section is checked and its artifact path claimed before the
         # output directory is made, so an invalid config leaves no artifact
         paths: set[Path] = set()
         for scn in scenarios:
             _check(scn)
-            path = (args.out / _artifact_name(scn)).resolve()
-            if path in paths:
-                raise ConfigError(
-                    f"scenario {scn.name!r} (line {scn.line}): artifact {str(path)!r} "
-                    "is already written by an earlier section"
-                )
-            paths.add(path)
+            path = args.out / _artifact_name(scn)
+            where = f"scenario {scn.name!r} (line {scn.line})"
+            if path.resolve() in paths:
+                raise ConfigError(f"{where}: artifact {str(path.resolve())!r} is already "
+                                  "written by an earlier section")
+            if path.parent != args.out and not path.parent.is_dir():
+                raise ConfigError(f"{where}: artifact directory {str(path.parent)!r} does not exist")
+            paths.add(path.resolve())
         args.out.mkdir(parents=True, exist_ok=True)
         for scn in scenarios:
             path = run_scenario(scn, args.out, args.threads, not args.no_timestamp)

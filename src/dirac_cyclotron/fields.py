@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KahanAccumulator, levels
+from .basis import KahanAccumulator, kahan_sum, levels
 from .spectrum import ModelParams, taylor_at
 
 
@@ -29,8 +29,8 @@ class PolarGrid:
     """
 
     rho_max: float
-    n_rho: int = 120
-    n_theta: int = 256
+    n_rho: int
+    n_theta: int
 
     @property
     def rho(self) -> np.ndarray:
@@ -229,15 +229,10 @@ def fractional_revival_field(
     _, dp, _ = taylor_at(params.n0, params)
     t_cl = 2.0 * math.pi / dp
     period, p = gauss_sum_coefficients(m, n)
-    acc = None
-    for j in range(period):
-        term = p[j] * classical_field(
-            rho, theta, tau + j * t_cl / period, params
-        )
-        if acc is None:
-            acc = KahanAccumulator(np.zeros_like(term))
-        acc.add(term)
-    return acc.total
+    return kahan_sum(
+        p[j] * classical_field(rho, theta, tau + j * t_cl / period, params)
+        for j in range(period)
+    )
 
 
 def jc_field(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:

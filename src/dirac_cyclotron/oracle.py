@@ -109,8 +109,6 @@ class OracleField:
 
     grid: PolarGrid
     samples: np.ndarray  # shape (4, n_rho, n_theta)
-    tau: float
-    spectrum_variant: str = "exact"
 
     def norm(self) -> float:
         return self._norm
@@ -132,7 +130,7 @@ def sample_mode_sum(
     rr, tt = grid.mesh()
     samples = mode_sum_field(rr, tt, tau, mode_set, params, spectrum_variant, kernels=kernels)
     samples.flags.writeable = False
-    return OracleField(grid=grid, samples=samples, tau=tau, spectrum_variant=spectrum_variant)
+    return OracleField(grid=grid, samples=samples)
 
 
 def grid_kernel_stack(grid: PolarGrid, mode_set: ModeSet, params: ModelParams) -> np.ndarray:

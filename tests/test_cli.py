@@ -237,6 +237,19 @@ class TestScenarios:
         assert body == expected
         assert body[0].split(",")[2] == "-0"
 
+    def test_map_grid_defaults_come_from_default_grid(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "default_grid", lambda params: PolarGrid(2.5, 3, 4))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(DENSITY_MAP)
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
+        text = (tmp_path / "density-map.csv").read_text()
+        header = parse_provenance(text)
+        assert (header["rho_max"], header["n_rho"], header["n_theta"]) == ("2.5", "3", "4")
+        rows = [line for line in text.splitlines() if not line.startswith("#")][1:]
+        assert [tuple(map(float, r.split(",")[:2])) for r in rows] == [
+            (r, t) for r in (0.0, 1.25, 2.5) for t in np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
+        ]
+
     def test_fractional_scenario_runs(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -309,9 +322,14 @@ class TestExitCodes:
             (PHYSICS.format("timescales") + "output = sub/../velocity.csv\n", "velocity.csv"),
             ("[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n"
              "trunc_tol = 1e-17\n", "trunc_tol"),
+            (PHYSICS.format("spin-trace") + "t_end = 1e*T_R\n", "cannot parse time"),
+            (PHYSICS.format("spin-map") + "t = nan\n", "not a finite number"),
+            (PHYSICS.format("jc-velocity") + "t_end = inf\n", "not a finite number"),
+            (PHYSICS.format("timescales") + "output = nosuchdir/t.csv\n", "nosuchdir"),
         ],
         ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
-             "duplicate_resolved_output", "trunc_tol"],
+             "duplicate_resolved_output", "trunc_tol", "t_end_multiplier", "t_nan",
+             "t_end_inf", "missing_dir"],
     )
     def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
         cfg = tmp_path / "run.cfg"
@@ -416,6 +434,36 @@ class TestValidation:
         out = capsys.readouterr().out
         assert "pass" in out
         assert (tmp_path / "validate.csv").exists()
+
+    def test_subcommand_and_section_are_one_path(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[validate]\nquick = yes\n")
+        outputs = []
+        for argv in (["validate", "--quick"], ["run", str(cfg)]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out), "--no-timestamp"]) == 0
+            digest = hashlib.sha256((out / "validate.csv").read_bytes()).hexdigest()
+            assert digest == QUICK_VALIDATE_SHA256
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1] == f"wrote {out / 'validate.csv'}"
+            outputs.append(lines[:-1])
+        assert outputs[0] == outputs[1]
+        assert outputs[0] and all(line.startswith("pass  ") for line in outputs[0])
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_failing_report_is_written_then_two(self, tmp_path, capsys, monkeypatch, command):
+        def failing_report(quick, threads):
+            return [("norm_drift", 1.0, 1e-6, "FAIL")], False
+
+        monkeypatch.setattr(cli, "validation_report", failing_report)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[validate]\nquick = yes\n")
+        argv = ["validate", "--quick"] if command == "validate" else ["run", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path), "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert "FAIL  norm_drift" in out and "wrote" not in out
+        assert "error: numeric: validation deviations exceed thresholds" in err
+        assert (tmp_path / "validate.csv").read_text().endswith("norm_drift,1,9.9999999999999995e-07,FAIL\n")
 
     def test_validate_scenario_in_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

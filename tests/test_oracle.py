@@ -22,7 +22,7 @@ from dirac_cyclotron import (
     q_kernel,
     sample_mode_sum,
 )
-from dirac_cyclotron.basis import MODE_SET_KINDS, ModeSet, q_kernel_stack, truncation_window
+from dirac_cyclotron.basis import MODE_SET_KINDS, ModeSet, q_kernel_stack
 from dirac_cyclotron.fields import polar_to_xy
 from dirac_cyclotron.oracle import (
     SPECTRUM_VARIANTS,
@@ -36,7 +36,6 @@ def _single_mode_set(idx: ModeIndex, params: ModelParams) -> ModeSet:
     return ModeSet(
         kind="positive_only",
         entries=((idx, 1.0 + 0.0j),),
-        window=truncation_window(params),
     )
 
 
