@@ -155,15 +155,6 @@ def _get(scn: Scenario, key: str, kind: type, default=None):
         ) from None
 
 
-def _header_lines(pairs: list[tuple[str, str]], timestamp: bool) -> list[str]:
-    lines = [f"# dirac-cyclotron {__version__}"]
-    if timestamp:
-        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        lines.append(f"# generated = {now}")
-    lines.extend(f"# {k} = {v}" for k, v in pairs)
-    return lines
-
-
 def parse_provenance(text: str) -> dict[str, str]:
     """Recover the resolved key/value pairs from an artifact's '#' header."""
     out: dict[str, str] = {}
@@ -185,7 +176,10 @@ def _write_artifact(
     timestamp: bool,
 ) -> None:
     """Write the provenance header, the column names and the formatted rows."""
-    text = _header_lines(header, timestamp) + [",".join(columns)] + lines
+    text = [f"# dirac-cyclotron {__version__}"]
+    if timestamp:
+        text.append(f"# generated = {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
+    text += [f"# {k} = {v}" for k, v in header] + [",".join(columns)] + lines
     path.write_text("\n".join(text) + "\n")
 
 
@@ -193,29 +187,24 @@ def _write_table(
     path: Path,
     header: list[tuple[str, str]],
     columns: list[str],
+    axes: tuple[np.ndarray, ...],
     values,
     timestamp: bool,
-    grid: PolarGrid | None = None,
 ) -> None:
-    """Write equal-size numeric arrays as artifact columns, one row per element.
+    """Write numeric arrays over the product of ``axes``, one row per point.
 
-    With ``grid``, every row starts with its rho and theta node: row k holds
-    the k-th point of ``grid.mesh()`` (theta varies fastest), and each axis
-    value is formatted once rather than once per row.  Raises
-    ArithmeticError, before anything is written, if any value is not finite.
+    Row k starts with the k-th point of the product of the 1-D ``axes`` (the
+    last axis varies fastest), each axis value formatted once, followed by
+    the k-th element of every array in ``values``.  Raises ArithmeticError,
+    before anything is written, if any value is not finite.
     """
-    axes = () if grid is None else (grid.rho, grid.theta)
     if not all(np.isfinite(v).all() for v in (*axes, *values)):
         raise ArithmeticError(f"non-finite value in the {path.name} payload")
     # "%.17g" % x has the bytes of fmt(x) for every float and for small ints
     row_format = ",".join(["%.17g"] * len(values))
+    points = itertools.product(*(["%.17g," % a for a in axis.tolist()] for axis in axes))
     rows = zip(*(np.ravel(v).tolist() for v in values), strict=True)
-    if grid is None:
-        lines = [row_format % row for row in rows]
-    else:
-        rho, theta = (["%.17g," % a for a in axis.tolist()] for axis in axes)
-        points = itertools.product(rho, theta)
-        lines = [r + t + row_format % row for (r, t), row in zip(points, rows, strict=True)]
+    lines = ["".join(p) + row_format % row for p, row in zip(points, rows, strict=True)]
     _write_artifact(path, header, columns, lines, timestamp)
 
 
@@ -228,35 +217,31 @@ def _now(func, *args) -> Future:
 
 # -- scenarios ----------------------------------------------------------------
 # Each scenario function checks and resolves every key of its section before
-# anything is computed, and returns (header pairs, columns, compute step, map
-# grid); the compute step takes the grid axes of a map and nothing otherwise.
-# Series are looked up as module globals when a section computes, never
-# captured when the table is built, so a rebound global (a test fake, a
-# tracer) serves every later run.
+# anything is computed, and returns (header pairs, columns, axes, compute
+# step); the compute step takes ``np.ix_(*axes)``.  Series are looked up as
+# module globals when a section computes, never captured when the table is
+# built, so a rebound global (a test fake, a tracer) serves every later run.
 
 
-def _physics(scn: Scenario) -> tuple[ModelParams, list[tuple[str, str]]]:
-    """Check the physics keys and trunc_tol, and build the window.
-
-    Returns the params and the header pairs every physics artifact starts with.
-    """
+def _physics(scn: Scenario) -> tuple[ModelParams, DerivedScales, list[tuple[str, str]]]:
+    """Check the physics keys and trunc_tol; return params, scales and the common header."""
     try:
         params = ModelParams(
             **{key: _get(scn, key, float) for key in _PHYSICS_KEYS},
             trunc_tol=_get(scn, "trunc_tol", float, ModelParams.trunc_tol),
         )
         win = truncation_window(params)
+        scales = derived_scales(params)
     except ValueError as exc:
         raise ConfigError(f"scenario {scn.name!r}: {exc}") from None
     header = [("scenario", scn.name)]
     header += [(key, fmt(getattr(params, key))) for key in (*_PHYSICS_KEYS, "trunc_tol")]
     header += [("window_n_min", str(win.n_min)), ("window_n_max", str(win.n_max))]
-    return params, header
+    return params, scales, header
 
 
 def _timescales(scn: Scenario):
-    params, header = _physics(scn)
-    s = derived_scales(params)
+    _, s, header = _physics(scn)
     columns = {
         "n0": s.n0,
         "T_cl_lambda_over_c": s.T_cl,
@@ -270,7 +255,7 @@ def _timescales(scn: Scenario):
         "omega_zb_per_second": s.omega_zb / TIME_UNIT_SECONDS,
         "B_tesla": s.B_tesla,
     }
-    return header, list(columns), lambda: list(columns.values()), None
+    return header, list(columns), (), lambda: list(columns.values())
 
 
 def _trace(columns: tuple[str, ...], series, extra=None):
@@ -280,8 +265,7 @@ def _trace(columns: tuple[str, ...], series, extra=None):
     """
 
     def check(scn: Scenario):
-        params, header = _physics(scn)
-        scales = derived_scales(params)
+        params, scales, header = _physics(scn)
         t_start = resolve_time(scn.values.get("t_start", "0.0"), scales)
         t_end = resolve_time(scn.values["t_end"], scales)
         n_samples = _get(scn, "n_samples", int, 1024)
@@ -289,20 +273,19 @@ def _trace(columns: tuple[str, ...], series, extra=None):
             raise ConfigError("n_samples must be >= 2")
         if not t_end > t_start:
             raise ConfigError("t_end must be greater than t_start")
-        taus = np.linspace(t_start, t_end, n_samples)
         header += [("t_start", fmt(t_start)), ("t_end", fmt(t_end)),
                    ("n_samples", str(n_samples))]
         if extra is not None:
             header.append(extra(params))
         return (header, ["tau_lambda_over_c", *columns],
-                lambda: (taus, *series(taus, params)), None)
+                (np.linspace(t_start, t_end, n_samples),), lambda taus: series(taus, params))
 
     return check
 
 
-def _map(scn: Scenario) -> tuple[ModelParams, DerivedScales, list[tuple[str, str]], PolarGrid]:
-    """Check the physics and grid keys of a map scenario."""
-    params, header = _physics(scn)
+def _map(scn: Scenario):
+    """Check the physics and grid keys of a map; its axes are the grid's rho and theta."""
+    params, scales, header = _physics(scn)
     default = default_grid(params)
     grid = PolarGrid(
         rho_max=_get(scn, "rho_max", float, default.rho_max),
@@ -317,11 +300,11 @@ def _map(scn: Scenario) -> tuple[ModelParams, DerivedScales, list[tuple[str, str
         raise ConfigError("n_theta must be >= 1")
     header += [("rho_max", fmt(grid.rho_max)), ("n_rho", str(grid.n_rho)),
                ("n_theta", str(grid.n_theta))]
-    return params, derived_scales(params), header, grid
+    return params, scales, header, (grid.rho, grid.theta)
 
 
 def _density_map(scn: Scenario):
-    params, scales, header, grid = _map(scn)
+    params, scales, header, axes = _map(scn)
     packet = scn.values.get("packet", "positive")
     spectrum = scn.values.get("spectrum", "exact")
     if packet not in ("positive", "two_band"):
@@ -341,19 +324,19 @@ def _density_map(scn: Scenario):
             psi = mode_sum_field(rr, tt, tau, build_mode_set(kind, params), params, "taylor2")
         return (np.sum(np.abs(psi) ** 2, axis=0),)
 
-    return header, ["rho_a", "theta_rad", "density_per_a2"], density, grid
+    return header, ["rho_a", "theta_rad", "density_per_a2"], axes, density
 
 
 def _spin_map(scn: Scenario):
-    params, scales, header, grid = _map(scn)
+    params, scales, header, axes = _map(scn)
     tau = resolve_time(scn.values["t"], scales)
     header.append(("t", fmt(tau)))
     columns = ["rho_a", "theta_rad", "sigma_x_per_a2", "sigma_y_per_a2"]
-    return header, columns, lambda rr, tt: spin_density(rr, tt, tau, params), grid
+    return header, columns, axes, lambda rr, tt: spin_density(rr, tt, tau, params)
 
 
 def _fractional(scn: Scenario):
-    params, scales, header, grid = _map(scn)
+    params, scales, header, axes = _map(scn)
     m, n = _get(scn, "m", int), _get(scn, "n", int)
     if not 1 <= n <= 8:
         raise ConfigError(f"fractional revivals are supported for 1 <= n <= 8, got n = {n}")
@@ -365,7 +348,7 @@ def _fractional(scn: Scenario):
     def density(rr, tt):
         return (np.sum(np.abs(fractional_revival_field(rr, tt, tau, m, n, params)) ** 2, axis=0),)
 
-    return header, ["rho_a", "theta_rad", "density_per_a2"], density, grid
+    return header, ["rho_a", "theta_rad", "density_per_a2"], axes, density
 
 
 # scenario -> (required keys, optional keys, scenario function); the
@@ -413,19 +396,15 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
         rows, ok = validation_report(quick=quick, threads=threads)
         for name, dev, thr, status in rows:
             print(f"{status:4s}  {name}  max|dev|={dev:.3e}  thr={thr:.0e}")
-        _write_artifact(
-            path,
-            [("scenario", "validate"), ("quick", str(quick).lower())],
-            ["check", "max_abs_deviation", "threshold", "status"],
-            [f"{name},{fmt(dev)},{fmt(thr)},{status}" for name, dev, thr, status in rows],
-            timestamp,
-        )
+        header = [("scenario", "validate"), ("quick", str(quick).lower())]
+        columns = ["check", "max_abs_deviation", "threshold", "status"]
+        lines = [f"{name},{fmt(dev)},{fmt(thr)},{status}" for name, dev, thr, status in rows]
+        _write_artifact(path, header, columns, lines, timestamp)
         if not ok:
             raise ArithmeticError("validation deviations exceed thresholds")
         return path
-    header, columns, compute, grid = _check(scn)
-    axes = () if grid is None else np.ix_(grid.rho, grid.theta)
-    _write_table(path, header, columns, compute(*axes), timestamp, grid)
+    header, columns, axes, compute = _check(scn)
+    _write_table(path, header, columns, axes, compute(*np.ix_(*axes)), timestamp)
     return path
 
 
@@ -450,111 +429,89 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     field_grid1, field_grid2 = default_grid(SET1, 50, 64), default_grid(SET2, 50, 64)
     quad_shape = (60, 128) if quick else ()  # () keeps the default grid
     quad_grid1, quad_grid2 = default_grid(SET1, *quad_shape), default_grid(SET2, *quad_shape)
-    sc1 = derived_scales(SET1)
-    sc2 = derived_scales(SET2)
-    rows: list[tuple] = []
+    sc1, sc2 = derived_scales(SET1), derived_scales(SET2)
+    mode_pos = build_mode_set("positive_only", SET1)
+    mode_jc = build_mode_set("two_band", SET2)
 
-    def record(name: str, dev: float, thr: float):
-        rows.append((name, dev, thr, "pass" if dev <= thr else "FAIL"))
+    def field_dev(closed, params):
+        """|closed-form field - mode sum|, largest over the oracle field's grid."""
+        return lambda f, t: (float(np.max(np.abs(closed(*f.grid.mesh(), t, params) - f.samples))),)
 
-    # Every section's tau tasks are submitted before any result is read, so
-    # the stack builds and the kernel-quadrature check overlap the pool work.
+    def quadrature_devs(params, *checks):
+        """Per (closed, kinds) check, the largest |closed form - grid quadrature|."""
+        return lambda f, t: tuple(
+            max(abs(float(v[0]) - quadrature_expectation(kind, f, params))
+                for v, kind in zip(closed(t, params), kinds, strict=True))
+            for closed, kinds in checks
+        )
+
+    # Every sweep's tau tasks are submitted before any result is read, so the
+    # stack builds and the kernel-quadrature check overlap the pool work.
     # Each task is deterministic, so the rows do not depend on the schedule.
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
     with pool as ex:
         submit = _now if ex is None else ex.submit
 
-        def sweep(func, taus) -> list[Future]:
-            return [submit(func, float(t)) for t in taus]
+        def sweep(grid, modes, params, kernels, taus, values) -> list[Future]:
+            """One task per tau, returning the tuple ``values(oracle field at tau, tau)``."""
+            def task(t: float) -> tuple:
+                return values(sample_mode_sum(grid, t, modes, params, kernels=kernels), t)
+
+            return [submit(task, float(t)) for t in taus]
 
         # closed-form fields vs mode sums; each kernel stack serves every tau
-        def field_check(grid, modes, params, closed, taus) -> list[Future]:
-            rr, tt = grid.mesh()
-            kernels = grid_kernel_stack(grid, modes, params)
-
-            def dev(t: float) -> float:
-                a = closed(rr, tt, t, params)
-                b = mode_sum_field(rr, tt, t, modes, params, kernels=kernels)
-                return float(np.max(np.abs(a - b)))
-
-            return sweep(dev, taus)
-
-        mode_pos = build_mode_set("positive_only", SET1)
-        field_pos = field_check(field_grid1, mode_pos, SET1, positive_energy_field,
-                                rng.uniform(0.0, 0.5 * sc1.T_R, n_field_times))
-        mode_jc = build_mode_set("two_band", SET2)
-        field_jc = field_check(field_grid2, mode_jc, SET2, jc_spinor,
-                               rng.uniform(0.0, 0.5 * sc2.T_R, n_field_times))
+        field_pos = sweep(field_grid1, mode_pos, SET1,
+                          grid_kernel_stack(field_grid1, mode_pos, SET1),
+                          rng.uniform(0.0, 0.5 * sc1.T_R, n_field_times),
+                          field_dev(positive_energy_field, SET1))
+        field_jc = sweep(field_grid2, mode_jc, SET2, grid_kernel_stack(field_grid2, mode_jc, SET2),
+                         rng.uniform(0.0, 0.5 * sc2.T_R, n_field_times), field_dev(jc_spinor, SET2))
 
         # closed-form observables vs grid quadrature: one oracle field per tau
         # serves every observable of the packet
         taus1 = rng.uniform(0.0, 0.5 * sc1.T_R, n_obs_times)
         taus2 = rng.uniform(0.0, 0.5 * sc2.T_R, n_obs_times)
-
-        def quadrature_checks(grid, modes, params, kernels, taus, checks) -> list[Future]:
-            """Per tau, |closed form - quadrature| for each (name, closed, kinds)."""
-
-            def devs(t: float) -> list[float]:
-                f = sample_mode_sum(grid, t, modes, params, kernels=kernels)
-                return [
-                    max(
-                        abs(float(v[0]) - quadrature_expectation(kind, f, params))
-                        for v, kind in zip(closed(t, params), kinds, strict=True)
-                    )
-                    for _, closed, kinds in checks
-                ]
-
-            return sweep(devs, taus)
-
-        checks1 = [
-            ("velocity_positive_vs_quadrature", mean_velocity_positive, ("velocity_x", "velocity_y")),
-            ("spin_transverse_vs_quadrature", mean_spin_transverse, ("sigma_x", "sigma_y")),
-        ]
-        checks2 = [
-            ("velocity_two_band_vs_quadrature", mean_velocity_jc, ("velocity_x", "velocity_y")),
-            ("spin_z_two_band_vs_quadrature",
-             lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",)),
-        ]
         quad_kernels1 = grid_kernel_stack(quad_grid1, mode_pos, SET1)
-        quad_pos = quadrature_checks(quad_grid1, mode_pos, SET1, quad_kernels1, taus1, checks1)
+        quad_pos = sweep(quad_grid1, mode_pos, SET1, quad_kernels1, taus1, quadrature_devs(
+            SET1, (mean_velocity_positive, ("velocity_x", "velocity_y")),
+            (mean_spin_transverse, ("sigma_x", "sigma_y"))))
         # the largest stack is held only by its own tasks, so it is freed once they end
-        quad_jc = quadrature_checks(quad_grid2, mode_jc, SET2,
-                                    grid_kernel_stack(quad_grid2, mode_jc, SET2), taus2, checks2)
+        quad_jc = sweep(quad_grid2, mode_jc, SET2, grid_kernel_stack(quad_grid2, mode_jc, SET2),
+                        taus2, quadrature_devs(
+                            SET2, (mean_velocity_jc, ("velocity_x", "velocity_y")),
+                            (lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",))))
 
-        # conservation
-        cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R]
-        if quick:
-            cons_times = cons_times[:2]
-
-        def conservation(t: float) -> tuple[float, float]:
-            f = sample_mode_sum(quad_grid1, t, mode_pos, SET1, kernels=quad_kernels1)
-            return f.norm(), quadrature_expectation("sigma_z", f, SET1)
-
-        cons = sweep(conservation, cons_times)
+        # conservation: the norm and <sigma_z> of the positive packet
+        cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R][: 2 if quick else 4]
+        cons = sweep(quad_grid1, mode_pos, SET1, quad_kernels1, cons_times,
+                     lambda f, t: (f.norm(), quadrature_expectation("sigma_z", f, SET1)))
 
         # numeric p-integral vs closed-form kernel, on this thread
         pts = [(0.0, SET1.qa), (1.0, SET1.qa), (-2.0, SET1.qa + 1.0), (0.5, SET1.qa - 2.0),
                (3.0, SET1.qa + 3.0), (-1.5, SET1.qa - 1.0), (2.0, SET1.qa),
                (0.0, SET1.qa + 2.0), (-3.0, SET1.qa - 3.0)]
-        kernel_dev = max(
-            abs(b1_quadrature(k, x, y, SET1) - q_kernel(k, x, y, SET1))
-            for k in range(6)
-            for x, y in pts
+        kernel_dev = max(abs(b1_quadrature(k, x, y, SET1) - q_kernel(k, x, y, SET1))
+                         for k in range(6) for x, y in pts)
+
+        # per sweep, one tuple of per-tau values for each deviation column
+        (fp,), (fj,), (vp, sp), (vj, sj), (norms, sz) = (
+            tuple(zip(*(f.result() for f in futures), strict=True))
+            for futures in (field_pos, field_jc, quad_pos, quad_jc, cons)
         )
 
-        record("field_positive_vs_modesum", max(f.result() for f in field_pos), 1e-8)
-        record("field_two_band_vs_modesum", max(f.result() for f in field_jc), 1e-8)
-        for checks, futures in ((checks1, quad_pos), (checks2, quad_jc)):
-            per_check = zip(*(f.result() for f in futures), strict=True)
-            for (name, _, _), check_devs in zip(checks, per_check, strict=True):
-                record(name, max(check_devs), 1e-6)
-        norms, sz = zip(*(f.result() for f in cons), strict=True)
-        record("norm_drift", max(abs(v - 1.0) for v in norms), 1e-6)
-        record("spin_z_conservation_positive", max(abs(v - sz[0]) for v in sz), 1e-8)
-        record("kernel_quadrature_vs_closed_form", kernel_dev, 1e-8)
-
-    ok = all(r[3] == "pass" for r in rows)
-    return rows, ok
+    table = [
+        ("field_positive_vs_modesum", max(fp), 1e-8),
+        ("field_two_band_vs_modesum", max(fj), 1e-8),
+        ("velocity_positive_vs_quadrature", max(vp), 1e-6),
+        ("spin_transverse_vs_quadrature", max(sp), 1e-6),
+        ("velocity_two_band_vs_quadrature", max(vj), 1e-6),
+        ("spin_z_two_band_vs_quadrature", max(sj), 1e-6),
+        ("norm_drift", max(abs(v - 1.0) for v in norms), 1e-6),
+        ("spin_z_conservation_positive", max(abs(v - sz[0]) for v in sz), 1e-8),
+        ("kernel_quadrature_vs_closed_form", kernel_dev, 1e-8),
+    ]
+    rows = [(name, dev, thr, "pass" if dev <= thr else "FAIL") for name, dev, thr in table]
+    return rows, all(row[3] == "pass" for row in rows)
 
 
 def main(argv=None) -> int:

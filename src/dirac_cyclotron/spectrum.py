@@ -193,9 +193,11 @@ def phi_taylor2(n, params: ModelParams, n_center: float | None = None):
 def derived_scales(params: ModelParams) -> DerivedScales:
     """All characteristic time/frequency scales, evaluated at the real n0."""
     n0r, p0, dp, ddp = taylor(params)
+    T_R = 4.0 * math.pi / abs(ddp) if ddp else math.inf
+    if T_R == math.inf:
+        raise ValueError(f"lambda_over_a = {params.lambda_over_a!r} is too small: T_R overflows")
     T_cl = 2.0 * math.pi / dp
     T_D = 2.0 / (params.qa * abs(ddp))
-    T_R = 4.0 * math.pi / abs(ddp)
     return DerivedScales(
         n0=params.n0,
         n0_real=n0r,

@@ -66,6 +66,40 @@ n_theta = 5
 """
 
 
+# one small section of every run scenario, with the sha256 of each
+# `--no-timestamp` artifact it writes; a refactor of the writer or of a
+# scenario must not move a byte of any of them
+SET2_PHYSICS = "[{}]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n"
+EVERY_SCENARIO = (
+    SET2_PHYSICS.format("timescales"),
+    PHYSICS.format("velocity") + "t_end = 2*T_cl\nn_samples = 9\n",
+    "[spin-trace]\nlambda_over_a = 0.1\nqa = 5\nalpha = 1.5\nbeta = 0.5\n"
+    "t_start = T_cl\nt_end = 0.5*T_R\nn_samples = 7\n",
+    SET2_PHYSICS.format("jc-velocity") + "t_end = 3*T_cl\nn_samples = 8\n",
+    SET2_PHYSICS.format("jc-spin") + "t_end = T_R\nn_samples = 6\n",
+    PHYSICS.format("cat") + "t_end = 0.5*T_R\nn_samples = 5\n",
+    PHYSICS.format("density-map")
+    + "t = 0.25*T_R\nrho_max = 4\nn_rho = 7\nn_theta = 6\noutput = density-exact.csv\n",
+    SET2_PHYSICS.format("density-map") + "t = T_cl\npacket = two_band\nspectrum = taylor2\n"
+    "rho_max = 5\nn_rho = 6\nn_theta = 5\noutput = density-taylor2.csv\n",
+    "[spin-map]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1.5\nbeta = 0.5\n"
+    "t = 0.25*T_R\nrho_max = 5\nn_rho = 5\nn_theta = 4\n",
+    PHYSICS.format("fractional") + "m = 1\nn = 3\nrho_max = 4\nn_rho = 5\nn_theta = 6\n",
+)
+EVERY_SCENARIO_SHA256 = {
+    "timescales.csv": "a1d19cd9868edd89fae36995c37ebfce08e8a0bdf615eaad2f704e4877e1be44",
+    "velocity.csv": "071759bf666afe01a0427e75c0047a81f47e978d71c23b7e7346c3e49759de58",
+    "spin-trace.csv": "8ffd63c4bdb13d6b4fe5dec401f1c50a9e8eed58ec3c2886860855a38120b3b6",
+    "jc-velocity.csv": "f0464dbd1e4822807996bd8b0418586bfef942ff9e6ba439f1ad5c8a0a03fd28",
+    "jc-spin.csv": "2f9cd7c450836dd9ea1aafb153d0d844f3b49a5924b0d1f51a001dd1bc41ff8c",
+    "cat.csv": "28931b8b69c88982eb37edf3b373a5d905366016f1bcc7fee74f0dca480a3937",
+    "density-exact.csv": "3f8f4f8647879b8c50b75c35e28fe0836db5d6a7d003403cfb15847abd6625e9",
+    "density-taylor2.csv": "121c25b701b245982743f46fd9287153dee6b15f3beab31aa4d13f241dc616ad",
+    "spin-map.csv": "cb9093a0be896be2cdc4df620249bce3e0e774a331cf52384899da31396a3346",
+    "fractional.csv": "3fab66f5f8c98227b77935e8a912ca458fabfbd88022c17329926452c156a0ef",
+}
+
+
 def fake_spin_density(sx_value):
     """A spin_density stand-in: sx_value at the first point, signed zeros and
     tiny values elsewhere."""
@@ -222,6 +256,18 @@ class TestScenarios:
         ) == 0
         assert (out_a / "velocity.csv").read_bytes() == (out_b / "velocity.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_scenario_artifact_bytes_pinned(self, tmp_path, threads):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(EVERY_SCENARIO))
+        argv = ["run", str(cfg), "--out", str(tmp_path / "out"), "--no-timestamp", "--threads", threads]
+        assert main(argv) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "out").iterdir()
+        }
+        assert digests == EVERY_SCENARIO_SHA256
+
     def test_map_axes_match_per_row_formatting(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "spin_density", fake_spin_density(-0.0))
         cfg = tmp_path / "run.cfg"
@@ -326,10 +372,15 @@ class TestExitCodes:
             (PHYSICS.format("spin-map") + "t = nan\n", "not a finite number"),
             (PHYSICS.format("jc-velocity") + "t_end = inf\n", "not a finite number"),
             (PHYSICS.format("timescales") + "output = nosuchdir/t.csv\n", "nosuchdir"),
+            (PHYSICS.format("spin-map").replace("qa = 5", "qa = 0.5") + "t = 0.0\n", "qa >= 1"),
+            (PHYSICS.format("velocity").replace("0.1", "1e-200") + "t_end = 10.0\n",
+             "lambda_over_a"),
+            (PHYSICS.format("timescales").replace("0.1", "1e-80"), "lambda_over_a"),
         ],
         ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
              "duplicate_resolved_output", "trunc_tol", "t_end_multiplier", "t_nan",
-             "t_end_inf", "missing_dir"],
+             "t_end_inf", "missing_dir", "qa_below_one", "lambda_over_a_underflow",
+             "T_R_overflow"],
     )
     def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
         cfg = tmp_path / "run.cfg"
