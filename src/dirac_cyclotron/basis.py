@@ -62,6 +62,22 @@ def kahan_sum(terms):
     return acc.total
 
 
+def float_kahan_sum(terms) -> float:
+    """Compensated sum of Python floats, in iteration order.
+
+    The four operations of ``KahanAccumulator.add`` in the same order, on
+    plain floats, so the result keeps every bit of a 0-d accumulator's
+    without a numpy call per term.
+    """
+    s = c = 0.0
+    for x in terms:
+        y = x - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+    return s
+
+
 def coherent_coefficient(n: int, qa: float) -> float:
     """Coherent-state weight c_n (1-indexed).
 

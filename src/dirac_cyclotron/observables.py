@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .basis import KahanAccumulator, _log_weight_sq, levels
+from .basis import KahanAccumulator, _log_weight_sq, float_kahan_sum, levels
 from .fields import PolarGrid
 from .spectrum import ModelParams, taylor, taylor_at
 
@@ -258,11 +258,8 @@ def mean_spin_z_jc(tau, params: ModelParams) -> np.ndarray:
 def spin_z_plateau_jc(params: ModelParams) -> float:
     """Time average of the two-band S_z: sum |c_n|^2 / phi_n^2."""
     table = levels(params)
-    win, p, c = table.window, table.phi, table.c
-    acc = KahanAccumulator(0.0)
-    for n in range(win.n_min, win.n_max + 1):
-        acc.add(c[n] ** 2 / p[n] ** 2)
-    return float(acc.total)
+    win, p, c = table.window, table.phi.tolist(), table.c
+    return float_kahan_sum(c[n] ** 2 / p[n] ** 2 for n in range(win.n_min, win.n_max + 1))
 
 
 def quadrupole_tensor(samples: np.ndarray, grid: PolarGrid, params: ModelParams) -> np.ndarray:

@@ -34,6 +34,12 @@ def _mode_energies(n_max: int, params: ModelParams, variant: str) -> np.ndarray:
     raise ValueError(f"unknown spectrum variant {variant!r}")
 
 
+# Points per block of the mode sum.  A block's kernel stack and the four
+# per-component buffers stay cache-sized; smaller blocks make more, shorter
+# ufunc calls, which cost more than they save when two threads share the GIL.
+_BLOCK_POINTS = 16384
+
+
 def mode_sum_field(
     rho,
     theta,
@@ -47,25 +53,30 @@ def mode_sum_field(
     """Brute-force field: sum amplitude * spinor(n) * exp(-i s phi_n tau).
 
     The spinor of mode (n, s, lambda_k) places d_n/b_n-weighted kernels
-    Q_{n-1}, Q_n in the two components selected by lambda_k.  The kernels
-    do not depend on tau: ``kernels`` may pass in a ``q_kernel_stack`` of at
-    least ``mode_set.n_max + 1`` orders built on these points (see
-    ``grid_kernel_stack``), shared read-only across calls; by default the
-    stack is built here.
+    Q_{n-1}, Q_n in the two components selected by lambda_k.  The sum runs
+    over the flattened points in blocks of at most ``_BLOCK_POINTS``; each
+    point's terms are added in the same order whatever its block, so the
+    blocking changes no bit.  The kernels do not depend on tau: ``kernels``
+    may pass in a ``q_kernel_stack`` of at least ``mode_set.n_max + 1``
+    orders built on these points (see ``grid_kernel_stack``), shared
+    read-only across calls, and each block reads its slice of it.  By
+    default each block builds its own stack and frees it before the next,
+    so at most one block's (n_max + 1) x ``_BLOCK_POINTS`` kernels exist at
+    a time, never the whole grid's.
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rho, theta = np.broadcast_arrays(rho, theta)
     n_max = mode_set.n_max
-    q = kernels
-    if q is None:
-        x, y = polar_to_xy(rho, theta, params)
-        q = q_kernel_stack(n_max, x, y, params)
-    elif q.shape[0] <= n_max or q.shape[1:] != rho.shape:
+    if kernels is None:
+        x, y = (c.ravel() for c in polar_to_xy(rho, theta, params))
+    elif kernels.shape[0] <= n_max or kernels.shape[1:] != rho.shape:
         raise ValueError(
-            f"kernel stack of shape {q.shape} does not cover orders 0..{n_max} "
+            f"kernel stack of shape {kernels.shape} does not cover orders 0..{n_max} "
             f"on points of shape {rho.shape}"
         )
+    else:
+        kernels = kernels.reshape(kernels.shape[0], -1)
     energies = _mode_energies(n_max, params, spectrum_variant)
     d_all, b_all = (c.tolist() for c in branch_coefficients(np.arange(n_max + 1), params))
 
@@ -88,15 +99,23 @@ def mode_sum_field(
             terms[lo].append((f_lo * ph, n - 1))
         terms[hi].append((f_hi * ph, n))
 
-    # one compensated pass per component, each term formed in one buffer
-    out = np.empty((4,) + rho.shape, dtype=complex)
-    term = np.empty(rho.shape, dtype=complex)
-    for component, component_terms in zip(out, terms):
-        acc = KahanAccumulator(component)
-        for f, k in component_terms:
-            acc.add(np.multiply(f, q[k], out=term))
-        component[...] = acc.total
-    return out
+    # per block, one compensated pass per component, each term formed in one buffer
+    out = np.empty((4, rho.size), dtype=complex)
+    term = np.empty(min(rho.size, _BLOCK_POINTS), dtype=complex)
+    for start in range(0, rho.size, _BLOCK_POINTS):
+        stop = min(start + _BLOCK_POINTS, rho.size)
+        if kernels is None:
+            q = q_kernel_stack(n_max, x[start:stop], y[start:stop], params)
+        else:
+            q = kernels[:, start:stop]
+        block_term = term[: stop - start]
+        for component, component_terms in zip(out[:, start:stop], terms):
+            acc = KahanAccumulator(component)
+            for f, k in component_terms:
+                acc.add(np.multiply(f, q[k], out=block_term))
+            component[...] = acc.total
+        del q  # a block's own stack is freed before the next one is built
+    return out.reshape((4,) + rho.shape)
 
 
 @dataclass(frozen=True)
@@ -136,10 +155,11 @@ def sample_mode_sum(
 def grid_kernel_stack(grid: PolarGrid, mode_set: ModeSet, params: ModelParams) -> np.ndarray:
     """The tau-independent kernels Q_0..Q_{n_max} of ``mode_set`` on the grid.
 
-    Built exactly as ``mode_sum_field`` builds them, so passing the result as
-    ``kernels=`` to ``mode_sum_field`` on ``grid.mesh()`` or to
-    ``sample_mode_sum`` on ``grid`` leaves every sample unchanged.  The
-    stack is read-only, so threads may share it.
+    Built by the same recurrence as ``mode_sum_field``'s per-block stacks,
+    point by point, so passing the result as ``kernels=`` to
+    ``mode_sum_field`` on ``grid.mesh()`` or to ``sample_mode_sum`` on
+    ``grid`` leaves every sample unchanged.  The stack is read-only, so
+    threads may share it.
     """
     x, y = polar_to_xy(*grid.mesh(), params)
     stack = q_kernel_stack(mode_set.n_max, x, y, params)

@@ -192,7 +192,14 @@ def phi_taylor2(n, params: ModelParams, n_center: float | None = None):
 
 def derived_scales(params: ModelParams) -> DerivedScales:
     """All characteristic time/frequency scales, evaluated at the real n0."""
-    n0r, p0, dp, ddp = taylor(params)
+    try:
+        n0r, p0, dp, ddp = taylor(params)
+    except OverflowError:
+        # Python float powers raise rather than return inf
+        raise ValueError(
+            f"lambda_over_a = {params.lambda_over_a!r} is too large: "
+            "phi'' = -(lambda/a)^4 / phi^3 overflows"
+        ) from None
     T_R = 4.0 * math.pi / abs(ddp) if ddp else math.inf
     if T_R == math.inf:
         raise ValueError(f"lambda_over_a = {params.lambda_over_a!r} is too small: T_R overflows")

@@ -28,7 +28,7 @@ from dirac_cyclotron import (
     spin_z_plateau_jc,
     truncation_window,
 )
-from dirac_cyclotron.basis import MODE_SET_KINDS, momentum_profile
+from dirac_cyclotron.basis import MODE_SET_KINDS, float_kahan_sum, momentum_profile
 
 
 class TestCoherentCoefficients:
@@ -325,6 +325,26 @@ class TestKahanAccumulator:
         plateau = spin_z_plateau_jc(set2)
         assert type(plateau) is float
         assert plateau == float(_kahan_reference(terms, np.float64(0.0)))
+
+    @pytest.mark.parametrize("sequence", ["set1", "set2", "ill_conditioned"])
+    def test_float_sum_keeps_every_bit_of_a_0d_accumulator(self, request, sequence):
+        if sequence == "ill_conditioned":
+            terms = [float(t.real[0]) for t in self._ill_conditioned_terms((1,))]
+            assert math.fsum(terms) != sum(terms)
+            total = float_kahan_sum(terms)
+        else:
+            # the two-band S_z plateau, as the 0-d accumulator once summed it
+            params = request.getfixturevalue(sequence)
+            table = levels(params)
+            win, p, c = table.window, table.phi, table.c
+            terms = [c[n] ** 2 / p[n] ** 2 for n in range(win.n_min, win.n_max + 1)]
+            total = spin_z_plateau_jc(params)
+            assert total.hex() == float_kahan_sum(float(x) for x in terms).hex()
+        acc = KahanAccumulator(0.0)
+        for x in terms:
+            acc.add(x)
+        assert type(total) is float
+        assert total.hex() == float(acc.total).hex()
 
     def test_accumulators_never_share_a_buffer(self):
         like = np.zeros((3, 4), dtype=complex)

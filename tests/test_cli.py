@@ -376,11 +376,12 @@ class TestExitCodes:
             (PHYSICS.format("velocity").replace("0.1", "1e-200") + "t_end = 10.0\n",
              "lambda_over_a"),
             (PHYSICS.format("timescales").replace("0.1", "1e-80"), "lambda_over_a"),
+            (PHYSICS.format("timescales").replace("0.1", "1e160"), "lambda_over_a"),
         ],
         ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
              "duplicate_resolved_output", "trunc_tol", "t_end_multiplier", "t_nan",
              "t_end_inf", "missing_dir", "qa_below_one", "lambda_over_a_underflow",
-             "T_R_overflow"],
+             "T_R_overflow", "lambda_over_a_overflow"],
     )
     def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 """The mode-sum engine itself: spectra, quadrature operators, kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from dirac_cyclotron import (
     q_kernel,
     sample_mode_sum,
 )
+from dirac_cyclotron import oracle
 from dirac_cyclotron.basis import MODE_SET_KINDS, ModeSet, q_kernel_stack
-from dirac_cyclotron.fields import polar_to_xy
+from dirac_cyclotron.fields import default_grid, polar_to_xy
 from dirac_cyclotron.oracle import (
     SPECTRUM_VARIANTS,
     OracleField,
@@ -174,6 +176,46 @@ class TestComponentPasses:
                 field = mode_sum_field(rr, tt, tau, ms, params, variant, kernels=passed)
                 assert field.shape == ref.shape and field.dtype == ref.dtype
                 assert field.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("variant", ["exact", "taylor2"])
+    @pytest.mark.parametrize("kind", MODE_SET_KINDS)
+    @pytest.mark.parametrize("set_name", ["set1", "set2"])
+    def test_ragged_blocks_keep_every_bit(self, request, monkeypatch, set_name, kind, variant):
+        params = request.getfixturevalue(set_name)
+        grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
+        rr, tt = grid.mesh()
+        ms = build_mode_set(kind, params)
+        kernels = grid_kernel_stack(grid, ms, params)
+        built = []
+
+        def recording_stack(k_max, x, y, params):
+            built.append(np.size(x))
+            return q_kernel_stack(k_max, x, y, params)
+
+        # 252 points: six blocks of 37 and a ragged block of 30
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 37)
+        monkeypatch.setattr(oracle, "q_kernel_stack", recording_stack)
+        ref = _entry_ordered_field(rr, tt, 123.4, ms, params, variant)
+        for passed, stacks in ((None, [37] * 6 + [30]), (kernels, [])):
+            built.clear()
+            field = mode_sum_field(rr, tt, 123.4, ms, params, variant, kernels=passed)
+            assert field.tobytes() == ref.tobytes()
+            assert built == stacks
+
+    def test_self_built_kernels_stay_below_one_grid_stack(self, set2):
+        grid = default_grid(set2)
+        rr, tt = grid.mesh()
+        assert rr.size == 120 * 256
+        ms = build_mode_set("two_band", set2)
+        one_stack = (ms.n_max + 1) * rr.size * np.dtype(complex).itemsize
+        tau = 0.3 * derived_scales(set2).T_R
+        tracemalloc.start()
+        try:
+            mode_sum_field(rr, tt, tau, ms, set2, "taylor2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_stack
 
     def test_component_without_terms_is_zero(self, set1):
         # the n = 0 mode (s = -1, lambda_k = +1) has no Q_{-1}: it feeds psi_4 only
