@@ -47,13 +47,11 @@ from .observables import (
     spin_density_classical,
     spin_density_half_revival,
     spin_z_plateau_jc,
-    sz_conservation_check,
 )
 from .oracle import (
     OracleField,
     b1_quadrature,
     fidelity,
-    grid_kernel_stack,
     mode_sum_field,
     normalized_fidelity,
     quadrature_expectation,

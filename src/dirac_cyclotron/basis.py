@@ -95,18 +95,6 @@ def coherent_coefficient(n: int, qa: float) -> float:
     return sign * math.exp(log_mag)
 
 
-def momentum_profile(p, params: ModelParams):
-    """Gaussian momentum amplitude g(p), with p in units of hbar/a.
-
-    Normalized so that the integral of g^2 over p (in physical units) is 1;
-    in hbar/a units this reads integral g^2 dp = 1 with
-    g(p) = pi^(-1/4) exp(-(p - qa)^2 / 2).
-    """
-    p = np.asarray(p, dtype=float)
-    out = math.pi**-0.25 * np.exp(-0.5 * (p - params.qa) ** 2)
-    return out if out.ndim else float(out)
-
-
 def q_kernel(k: int, x, y, params: ModelParams):
     """Closed form of the p-integrated kernel Q_k at (x, y) (lengths in a).
 

@@ -44,7 +44,6 @@ from .observables import (
 )
 from .oracle import (
     b1_quadrature,
-    grid_kernel_stack,
     mode_sum_field,
     quadrature_expectation,
     sample_mode_sum,
@@ -445,45 +444,44 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
             for closed, kinds in checks
         )
 
-    # Every sweep's tau tasks are submitted before any result is read, so the
-    # stack builds and the kernel-quadrature check overlap the pool work.
-    # Each task is deterministic, so the rows do not depend on the schedule.
+    # every comparison time is drawn before the first sweep is submitted
+    field_times1, field_times2 = (rng.uniform(0.0, 0.5 * sc.T_R, n_field_times).tolist()
+                                  for sc in (sc1, sc2))
+    taus1, taus2 = (rng.uniform(0.0, 0.5 * sc.T_R, n_obs_times).tolist() for sc in (sc1, sc2))
+    cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R][: 2 if quick else 4]
+
+    # Every sweep is submitted before any result is read, so the
+    # kernel-quadrature check overlaps the pool work.  Each task is
+    # deterministic, so the rows do not depend on the schedule.
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
     with pool as ex:
         submit = _now if ex is None else ex.submit
 
-        def sweep(grid, modes, params, kernels, taus, values) -> list[Future]:
-            """One task per tau, returning the tuple ``values(oracle field at tau, tau)``."""
-            def task(t: float) -> tuple:
-                return values(sample_mode_sum(grid, t, modes, params, kernels=kernels), t)
+        def sweep(grid, modes, params, taus, values) -> Future:
+            """One task: the oracle fields over the tau axis, and per tau the
+            tuple ``values(field, tau)``."""
+            def task() -> list[tuple]:
+                fields = sample_mode_sum(grid, taus, modes, params)
+                return [values(f, t) for f, t in zip(fields, taus, strict=True)]
 
-            return [submit(task, float(t)) for t in taus]
-
-        # closed-form fields vs mode sums; each kernel stack serves every tau
-        field_pos = sweep(field_grid1, mode_pos, SET1,
-                          grid_kernel_stack(field_grid1, mode_pos, SET1),
-                          rng.uniform(0.0, 0.5 * sc1.T_R, n_field_times),
-                          field_dev(positive_energy_field, SET1))
-        field_jc = sweep(field_grid2, mode_jc, SET2, grid_kernel_stack(field_grid2, mode_jc, SET2),
-                         rng.uniform(0.0, 0.5 * sc2.T_R, n_field_times), field_dev(jc_spinor, SET2))
+            return submit(task)
 
         # closed-form observables vs grid quadrature: one oracle field per tau
-        # serves every observable of the packet
-        taus1 = rng.uniform(0.0, 0.5 * sc1.T_R, n_obs_times)
-        taus2 = rng.uniform(0.0, 0.5 * sc2.T_R, n_obs_times)
-        quad_kernels1 = grid_kernel_stack(quad_grid1, mode_pos, SET1)
-        quad_pos = sweep(quad_grid1, mode_pos, SET1, quad_kernels1, taus1, quadrature_devs(
+        # serves every observable of the packet; the largest sweep goes first
+        quad_jc = sweep(quad_grid2, mode_jc, SET2, taus2, quadrature_devs(
+            SET2, (mean_velocity_jc, ("velocity_x", "velocity_y")),
+            (lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",))))
+        quad_pos = sweep(quad_grid1, mode_pos, SET1, taus1, quadrature_devs(
             SET1, (mean_velocity_positive, ("velocity_x", "velocity_y")),
             (mean_spin_transverse, ("sigma_x", "sigma_y"))))
-        # the largest stack is held only by its own tasks, so it is freed once they end
-        quad_jc = sweep(quad_grid2, mode_jc, SET2, grid_kernel_stack(quad_grid2, mode_jc, SET2),
-                        taus2, quadrature_devs(
-                            SET2, (mean_velocity_jc, ("velocity_x", "velocity_y")),
-                            (lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",))))
+
+        # closed-form fields vs mode sums
+        field_pos = sweep(field_grid1, mode_pos, SET1, field_times1,
+                          field_dev(positive_energy_field, SET1))
+        field_jc = sweep(field_grid2, mode_jc, SET2, field_times2, field_dev(jc_spinor, SET2))
 
         # conservation: the norm and <sigma_z> of the positive packet
-        cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R][: 2 if quick else 4]
-        cons = sweep(quad_grid1, mode_pos, SET1, quad_kernels1, cons_times,
+        cons = sweep(quad_grid1, mode_pos, SET1, cons_times,
                      lambda f, t: (f.norm(), quadrature_expectation("sigma_z", f, SET1)))
 
         # numeric p-integral vs closed-form kernel, on this thread
@@ -495,8 +493,8 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
 
         # per sweep, one tuple of per-tau values for each deviation column
         (fp,), (fj,), (vp, sp), (vj, sj), (norms, sz) = (
-            tuple(zip(*(f.result() for f in futures), strict=True))
-            for futures in (field_pos, field_jc, quad_pos, quad_jc, cons)
+            tuple(zip(*future.result(), strict=True))
+            for future in (field_pos, field_jc, quad_pos, quad_jc, cons)
         )
 
     table = [

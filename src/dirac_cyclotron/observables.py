@@ -278,27 +278,3 @@ def quadrupole_tensor(samples: np.ndarray, grid: PolarGrid, params: ModelParams)
     d_yy = float(grid.integrate(dens * (3.0 * y * y - r2)))
     d_xy = float(grid.integrate(dens * 3.0 * x * y))
     return np.array([[d_xx, d_xy], [d_xy, d_yy]])
-
-
-def sz_conservation_check(times, mode_set, params: ModelParams, grid: PolarGrid | None = None) -> float:
-    """Max drift of the grid-quadrature S_z over the given times.
-
-    For a single-band packet S_z is an exact constant of motion, so any
-    drift measures quadrature error.  Returns max_t |S_z(t) - S_z(t_0)|.
-    """
-    from .fields import default_grid
-    from .oracle import grid_kernel_stack, quadrature_expectation, sample_mode_sum
-
-    if grid is None:
-        grid = default_grid(params)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    kernels = grid_kernel_stack(grid, mode_set, params)
-    values = [
-        quadrature_expectation(
-            "sigma_z",
-            sample_mode_sum(grid, float(t), mode_set, params, kernels=kernels),
-            params,
-        )
-        for t in times
-    ]
-    return float(max(abs(v - values[0]) for v in values))

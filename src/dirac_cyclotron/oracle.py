@@ -43,79 +43,74 @@ _BLOCK_POINTS = 16384
 def mode_sum_field(
     rho,
     theta,
-    tau: float,
+    tau,
     mode_set: ModeSet,
     params: ModelParams,
     spectrum_variant: str = "exact",
-    *,
-    kernels: np.ndarray | None = None,
 ) -> np.ndarray:
     """Brute-force field: sum amplitude * spinor(n) * exp(-i s phi_n tau).
 
     The spinor of mode (n, s, lambda_k) places d_n/b_n-weighted kernels
-    Q_{n-1}, Q_n in the two components selected by lambda_k.  The sum runs
-    over the flattened points in blocks of at most ``_BLOCK_POINTS``; each
-    point's terms are added in the same order whatever its block, so the
-    blocking changes no bit.  The kernels do not depend on tau: ``kernels``
-    may pass in a ``q_kernel_stack`` of at least ``mode_set.n_max + 1``
-    orders built on these points (see ``grid_kernel_stack``), shared
-    read-only across calls, and each block reads its slice of it.  By
-    default each block builds its own stack and frees it before the next,
-    so at most one block's (n_max + 1) x ``_BLOCK_POINTS`` kernels exist at
-    a time, never the whole grid's.
+    Q_{n-1}, Q_n in the two components selected by lambda_k.  ``tau`` is a
+    scalar, giving shape ``(4,) + rho.shape``, or a 1-D axis, giving
+    ``(len(tau), 4) + rho.shape``.  The sum runs over the flattened points
+    in blocks of at most ``_BLOCK_POINTS``: each block builds its own
+    (n_max + 1)-order kernel stack, which does not depend on tau, sums every
+    tau from it in order and frees it before the next block, so the oracle
+    never holds a full-grid stack.  Each point's terms are added in the same
+    order whatever its block and whatever the other taus, so neither the
+    blocking nor the tau axis changes a bit.
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     rho, theta = np.broadcast_arrays(rho, theta)
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise ValueError(f"tau must be a scalar or a 1-D axis, not of shape {taus.shape}")
     n_max = mode_set.n_max
-    if kernels is None:
-        x, y = (c.ravel() for c in polar_to_xy(rho, theta, params))
-    elif kernels.shape[0] <= n_max or kernels.shape[1:] != rho.shape:
-        raise ValueError(
-            f"kernel stack of shape {kernels.shape} does not cover orders 0..{n_max} "
-            f"on points of shape {rho.shape}"
-        )
-    else:
-        kernels = kernels.reshape(kernels.shape[0], -1)
+    x, y = (c.ravel() for c in polar_to_xy(rho, theta, params))
     energies = _mode_energies(n_max, params, spectrum_variant)
     d_all, b_all = (c.tolist() for c in branch_coefficients(np.arange(n_max + 1), params))
 
-    # Each component's terms (factor * phase, kernel order), in entry order.
-    # Mode (n, s) weights its two kernels by (d_n, -b_n) for s = +1 and by
-    # (b_n, d_n) for s = -1: lambda_k = +1 puts them on Q_{n-1} in psi_1 and
-    # Q_n in psi_4, lambda_k = -1 on Q_n in psi_2 and Q_{n-1} in psi_3.
-    # Q_{n-1} is absent only at n = 0, where b_n = 0.
-    terms: tuple[list, ...] = ([], [], [], [])
-    for idx, amp in mode_set.entries:
-        n = idx.n
-        d, b = d_all[n], b_all[n]
-        ph = amp * np.exp(-1j * idx.s * energies[n] * tau)
-        first, second = (d, -b) if idx.s == +1 else (b, d)
-        if idx.lambda_k == +1:
-            (lo, f_lo), (hi, f_hi) = (0, first), (3, second)
-        else:
-            (lo, f_lo), (hi, f_hi) = (2, second), (1, first)
-        if n >= 1:
-            terms[lo].append((f_lo * ph, n - 1))
-        terms[hi].append((f_hi * ph, n))
+    def terms(t: float) -> tuple[list, ...]:
+        """Each component's terms (factor * phase, kernel order) at time t, in entry order.
 
-    # per block, one compensated pass per component, each term formed in one buffer
-    out = np.empty((4, rho.size), dtype=complex)
+        Mode (n, s) weights its two kernels by (d_n, -b_n) for s = +1 and by
+        (b_n, d_n) for s = -1: lambda_k = +1 puts them on Q_{n-1} in psi_1 and
+        Q_n in psi_4, lambda_k = -1 on Q_n in psi_2 and Q_{n-1} in psi_3.
+        Q_{n-1} is absent only at n = 0, where b_n = 0.
+        """
+        comps: tuple[list, ...] = ([], [], [], [])
+        for idx, amp in mode_set.entries:
+            n = idx.n
+            d, b = d_all[n], b_all[n]
+            ph = amp * np.exp(-1j * idx.s * energies[n] * t)
+            first, second = (d, -b) if idx.s == +1 else (b, d)
+            if idx.lambda_k == +1:
+                (lo, f_lo), (hi, f_hi) = (0, first), (3, second)
+            else:
+                (lo, f_lo), (hi, f_hi) = (2, second), (1, first)
+            if n >= 1:
+                comps[lo].append((f_lo * ph, n - 1))
+            comps[hi].append((f_hi * ph, n))
+        return comps
+
+    per_tau = [terms(t) for t in taus.reshape(-1).tolist()]
+    # per block and tau, one compensated pass per component, each term formed in one buffer
+    out = np.empty((len(per_tau), 4, rho.size), dtype=complex)
     term = np.empty(min(rho.size, _BLOCK_POINTS), dtype=complex)
     for start in range(0, rho.size, _BLOCK_POINTS):
         stop = min(start + _BLOCK_POINTS, rho.size)
-        if kernels is None:
-            q = q_kernel_stack(n_max, x[start:stop], y[start:stop], params)
-        else:
-            q = kernels[:, start:stop]
+        q = q_kernel_stack(n_max, x[start:stop], y[start:stop], params)
         block_term = term[: stop - start]
-        for component, component_terms in zip(out[:, start:stop], terms):
-            acc = KahanAccumulator(component)
-            for f, k in component_terms:
-                acc.add(np.multiply(f, q[k], out=block_term))
-            component[...] = acc.total
-        del q  # a block's own stack is freed before the next one is built
-    return out.reshape((4,) + rho.shape)
+        for field, field_terms in zip(out[:, :, start:stop], per_tau):
+            for component, component_terms in zip(field, field_terms):
+                acc = KahanAccumulator(component)
+                for f, k in component_terms:
+                    acc.add(np.multiply(f, q[k], out=block_term))
+                component[...] = acc.total
+        del q  # a block's stack is freed before the next one is built
+    return out.reshape(taus.shape + (4,) + rho.shape)
 
 
 @dataclass(frozen=True)
@@ -139,32 +134,18 @@ class OracleField:
 
 def sample_mode_sum(
     grid: PolarGrid,
-    tau: float,
+    tau,
     mode_set: ModeSet,
     params: ModelParams,
     spectrum_variant: str = "exact",
-    *,
-    kernels: np.ndarray | None = None,
-) -> OracleField:
-    rr, tt = grid.mesh()
-    samples = mode_sum_field(rr, tt, tau, mode_set, params, spectrum_variant, kernels=kernels)
+) -> OracleField | list[OracleField]:
+    """The mode sum on ``grid.mesh()``: one read-only ``OracleField`` for a
+    scalar tau, a list of one per tau for a 1-D axis."""
+    samples = mode_sum_field(*grid.mesh(), tau, mode_set, params, spectrum_variant)
     samples.flags.writeable = False
-    return OracleField(grid=grid, samples=samples)
-
-
-def grid_kernel_stack(grid: PolarGrid, mode_set: ModeSet, params: ModelParams) -> np.ndarray:
-    """The tau-independent kernels Q_0..Q_{n_max} of ``mode_set`` on the grid.
-
-    Built by the same recurrence as ``mode_sum_field``'s per-block stacks,
-    point by point, so passing the result as ``kernels=`` to
-    ``mode_sum_field`` on ``grid.mesh()`` or to ``sample_mode_sum`` on
-    ``grid`` leaves every sample unchanged.  The stack is read-only, so
-    threads may share it.
-    """
-    x, y = polar_to_xy(*grid.mesh(), params)
-    stack = q_kernel_stack(mode_set.n_max, x, y, params)
-    stack.flags.writeable = False
-    return stack
+    if samples.ndim == 3:
+        return OracleField(grid=grid, samples=samples)
+    return [OracleField(grid=grid, samples=s) for s in samples]
 
 
 # 4x4 matrices of the one-body operators, basis (psi_1 .. psi_4).

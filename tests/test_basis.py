@@ -28,7 +28,7 @@ from dirac_cyclotron import (
     spin_z_plateau_jc,
     truncation_window,
 )
-from dirac_cyclotron.basis import MODE_SET_KINDS, float_kahan_sum, momentum_profile
+from dirac_cyclotron.basis import MODE_SET_KINDS, float_kahan_sum
 
 
 class TestCoherentCoefficients:
@@ -48,15 +48,6 @@ class TestCoherentCoefficients:
         # log-space evaluation must not overflow for indices in the hundreds
         v = coherent_coefficient(800, 30.0)
         assert math.isfinite(v)
-
-
-class TestMomentumProfile:
-    def test_peak_and_normalization(self):
-        p = ModelParams(lambda_over_a=0.1, qa=5.0)
-        grid = np.linspace(-5, 15, 20001)
-        g = momentum_profile(grid, p)
-        assert grid[np.argmax(g)] == pytest.approx(p.qa, abs=1e-3)
-        assert np.trapezoid(g**2, grid) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestQKernel:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_cyclotron import ModelParams, PolarGrid, cli, derived_scales
+from dirac_cyclotron import ModelParams, PolarGrid, cli, derived_scales, oracle, q_kernel_stack
 from dirac_cyclotron.cli import (
     ConfigError,
     Scenario,
@@ -480,6 +480,22 @@ class TestValidation:
         monkeypatch.setattr(cli, "sample_mode_sum", broken)
         with pytest.raises(RuntimeError, match="mode sum failed"):
             validation_report(quick=True, threads=2)
+
+    def test_no_kernel_stack_exceeds_one_block(self, monkeypatch):
+        built = []
+
+        def recording_stack(k_max, x, y, params):
+            built.append(np.size(x))
+            return q_kernel_stack(k_max, x, y, params)
+
+        monkeypatch.setattr(oracle, "q_kernel_stack", recording_stack)
+        rows, ok = validation_report()
+        assert ok
+        # one stack per block of each sweep, shared by all of its taus: the
+        # 50x64 field grids are one block each, the 120x256 quadrature grids
+        # of the velocity/spin and conservation sweeps two each
+        assert sorted(built) == [3200] * 2 + [14336] * 3 + [16384] * 3
+        assert max(built) <= oracle._BLOCK_POINTS
 
     def test_validate_subcommand(self, tmp_path, capsys):
         assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 0

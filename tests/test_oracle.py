@@ -15,7 +15,6 @@ from dirac_cyclotron import (
     build_mode_set,
     derived_scales,
     fidelity,
-    grid_kernel_stack,
     mode_sum_field,
     normalized_fidelity,
     phi,
@@ -77,45 +76,53 @@ class TestSpectrumVariants:
         assert devs[0] < devs[1] < devs[2]
 
 
-class TestSharedKernelStack:
+def _three_taus(params) -> list[float]:
+    return [0.0, 123.4, 0.3 * derived_scales(params).T_R]
+
+
+class TestTauAxis:
+    """One call over a tau axis keeps every bit of the scalar calls."""
+
     @pytest.mark.parametrize("variant", ["exact", "taylor2"])
-    @pytest.mark.parametrize("set_name, kind", [("set1", "positive_only"), ("set2", "two_band")])
-    def test_passed_stack_gives_identical_field(self, request, set_name, kind, variant):
+    @pytest.mark.parametrize("kind", MODE_SET_KINDS)
+    @pytest.mark.parametrize("set_name", ["set1", "set2"])
+    def test_axis_matches_scalar_calls(self, request, set_name, kind, variant):
         params = request.getfixturevalue(set_name)
-        grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=30, n_theta=40)
+        grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
         rr, tt = grid.mesh()
         ms = build_mode_set(kind, params)
-        kernels = grid_kernel_stack(grid, ms, params)
-        tau = 0.3 * derived_scales(params).T_R
-        own = mode_sum_field(rr, tt, tau, ms, params, variant)
-        shared = mode_sum_field(rr, tt, tau, ms, params, variant, kernels=kernels)
-        assert np.array_equal(own, shared)
-        sampled = sample_mode_sum(grid, tau, ms, params, variant, kernels=kernels)
-        assert np.array_equal(own, sampled.samples)
+        taus = _three_taus(params)
+        scalar = np.stack([mode_sum_field(rr, tt, t, ms, params, variant) for t in taus])
+        axis = mode_sum_field(rr, tt, np.array(taus), ms, params, variant)
+        assert axis.shape == (3, 4) + rr.shape and axis.dtype == scalar.dtype
+        assert axis.tobytes() == scalar.tobytes()
 
-    def test_stack_is_read_only(self, set1, grid1):
-        kernels = grid_kernel_stack(grid1, build_mode_set("positive_only", set1), set1)
-        assert not kernels.flags.writeable
+    def test_sampled_fields_are_read_only(self, set1, grid1):
+        ms = build_mode_set("positive_only", set1)
+        taus = _three_taus(set1)
+        fields = sample_mode_sum(grid1, taus, ms, set1)
+        assert len(fields) == 3
+        for f, t in zip(fields, taus):
+            assert isinstance(f, OracleField) and f.grid is grid1
+            assert not f.samples.flags.writeable
+            assert f.samples.tobytes() == sample_mode_sum(grid1, t, ms, set1).samples.tobytes()
+        single = sample_mode_sum(grid1, taus[1], ms, set1)
+        assert isinstance(single, OracleField) and not single.samples.flags.writeable
 
-    def test_stack_too_short_or_misshapen_rejected(self, set1, grid1):
+    def test_two_dimensional_tau_rejected(self, set1, grid1):
         rr, tt = grid1.mesh()
         ms = build_mode_set("positive_only", set1)
-        kernels = grid_kernel_stack(grid1, ms, set1)
-        with pytest.raises(ValueError, match="kernel stack"):
-            mode_sum_field(rr, tt, 0.0, ms, set1, kernels=kernels[:-1])
-        with pytest.raises(ValueError, match="kernel stack"):
-            mode_sum_field(rr[:, :10], tt[:, :10], 0.0, ms, set1, kernels=kernels)
+        with pytest.raises(ValueError, match="1-D axis"):
+            mode_sum_field(rr, tt, np.zeros((2, 2)), ms, set1)
 
 
-def _entry_ordered_field(rho, theta, tau, mode_set, params, variant, kernels=None):
+def _entry_ordered_field(rho, theta, tau, mode_set, params, variant):
     """The mode sum as first written: four out-of-place compensated sums,
     one add per mode entry and component, in entry order."""
     rho, theta = np.broadcast_arrays(np.asarray(rho, float), np.asarray(theta, float))
     n_max = mode_set.n_max
-    q = kernels
-    if q is None:
-        x, y = polar_to_xy(rho, theta, params)
-        q = q_kernel_stack(n_max, x, y, params)
+    x, y = polar_to_xy(rho, theta, params)
+    q = q_kernel_stack(n_max, x, y, params)
     energies = {
         "exact": lambda: np.asarray(phi(np.arange(n_max + 1), params)),
         "taylor2": lambda: np.asarray(phi_taylor2(np.arange(n_max + 1), params)),
@@ -166,16 +173,11 @@ class TestComponentPasses:
         grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
         rr, tt = grid.mesh()
         ms = build_mode_set(kind, params)
-        kernels = grid_kernel_stack(grid, ms, params)
         for tau in (0.0, 123.4):
             ref = _entry_ordered_field(rr, tt, tau, ms, params, variant)
-            assert ref.tobytes() == _entry_ordered_field(
-                rr, tt, tau, ms, params, variant, kernels
-            ).tobytes()
-            for passed in (None, kernels):
-                field = mode_sum_field(rr, tt, tau, ms, params, variant, kernels=passed)
-                assert field.shape == ref.shape and field.dtype == ref.dtype
-                assert field.tobytes() == ref.tobytes()
+            field = mode_sum_field(rr, tt, tau, ms, params, variant)
+            assert field.shape == ref.shape and field.dtype == ref.dtype
+            assert field.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("variant", ["exact", "taylor2"])
     @pytest.mark.parametrize("kind", MODE_SET_KINDS)
@@ -185,7 +187,7 @@ class TestComponentPasses:
         grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
         rr, tt = grid.mesh()
         ms = build_mode_set(kind, params)
-        kernels = grid_kernel_stack(grid, ms, params)
+        taus = _three_taus(params)
         built = []
 
         def recording_stack(k_max, x, y, params):
@@ -195,12 +197,10 @@ class TestComponentPasses:
         # 252 points: six blocks of 37 and a ragged block of 30
         monkeypatch.setattr(oracle, "_BLOCK_POINTS", 37)
         monkeypatch.setattr(oracle, "q_kernel_stack", recording_stack)
-        ref = _entry_ordered_field(rr, tt, 123.4, ms, params, variant)
-        for passed, stacks in ((None, [37] * 6 + [30]), (kernels, [])):
-            built.clear()
-            field = mode_sum_field(rr, tt, 123.4, ms, params, variant, kernels=passed)
-            assert field.tobytes() == ref.tobytes()
-            assert built == stacks
+        refs = np.stack([_entry_ordered_field(rr, tt, t, ms, params, variant) for t in taus])
+        fields = mode_sum_field(rr, tt, taus, ms, params, variant)
+        assert fields.tobytes() == refs.tobytes()
+        assert built == [37] * 6 + [30]  # one stack per block serves every tau
 
     def test_self_built_kernels_stay_below_one_grid_stack(self, set2):
         grid = default_grid(set2)
@@ -208,14 +208,16 @@ class TestComponentPasses:
         assert rr.size == 120 * 256
         ms = build_mode_set("two_band", set2)
         one_stack = (ms.n_max + 1) * rr.size * np.dtype(complex).itemsize
-        tau = 0.3 * derived_scales(set2).T_R
-        tracemalloc.start()
-        try:
-            mode_sum_field(rr, tt, tau, ms, set2, "taylor2")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < one_stack
+        t_r = derived_scales(set2).T_R
+        # a scalar tau, then a 10-tau axis whose (10, 4, n_rho, n_theta) output adds to the peak
+        for tau, output in ((0.3 * t_r, 0), (np.linspace(0.0, 0.5 * t_r, 10), 10 * 4 * rr.size * 16)):
+            tracemalloc.start()
+            try:
+                mode_sum_field(rr, tt, tau, ms, set2, "taylor2")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < one_stack + output
 
     def test_component_without_terms_is_zero(self, set1):
         # the n = 0 mode (s = -1, lambda_k = +1) has no Q_{-1}: it feeds psi_4 only
