@@ -124,19 +124,28 @@ def q_kernel(k: int, x, y, params: ModelParams):
     return out if out.ndim else complex(out)
 
 
-def q_kernel_stack(k_max: int, x, y, params: ModelParams) -> np.ndarray:
-    """Q_0 .. Q_{k_max} on a grid via the ratio recurrence (axis 0 is k)."""
+def q_kernel_stack(k_max: int, x, y, params: ModelParams, k_min: int = 0) -> np.ndarray:
+    """Q_{k_min} .. Q_{k_max} on a grid via the ratio recurrence (axis 0 is k - k_min).
+
+    The recurrence always starts at Q_0 and takes the same steps, so row
+    k - k_min has the bits of row k of the full stack; the orders below
+    k_min are stepped through one at a time and not stored.
+    """
+    if not 0 <= k_min <= k_max:
+        raise ValueError(f"need 0 <= k_min <= k_max, got k_min = {k_min}, k_max = {k_max}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     qa = params.qa
     u = (y - qa) - 1j * x
-    q0 = np.exp((2j * x * (y + qa) - x**2 - (y - qa) ** 2) / 4.0) / math.sqrt(
+    q = np.exp((2j * x * (y + qa) - x**2 - (y - qa) ** 2) / 4.0) / math.sqrt(
         2.0 * math.pi
     )
-    out = np.empty((k_max + 1,) + q0.shape, dtype=complex)
-    out[0] = q0
-    for k in range(1, k_max + 1):
-        out[k] = out[k - 1] * u / math.sqrt(2.0 * k)
+    for k in range(1, k_min + 1):
+        q = q * u / math.sqrt(2.0 * k)
+    out = np.empty((k_max - k_min + 1,) + q.shape, dtype=complex)
+    out[0] = q
+    for i in range(1, k_max - k_min + 1):
+        out[i] = out[i - 1] * u / math.sqrt(2.0 * (k_min + i))
     return out
 
 
@@ -169,13 +178,22 @@ def truncation_window(params: ModelParams) -> TruncationWindow:
     boundary with the larger mass (the Poisson weights are right-skewed, so
     the window comes out asymmetric around n0 + 1).  The window depends only
     on (qa, trunc_tol) and is cached on those, so packets that differ only
-    in alpha/beta or lambda_over_a share one instance.
+    in alpha/beta or lambda_over_a share one instance.  A qa above
+    ``QA_MAX`` raises ``ValueError``.
     """
     return _window(params.qa, params.trunc_tol)
 
 
+# Largest supported qa (n0 = 5000).  Above it the log weights lose their
+# digits to cancellation (terms of size ~lam*log(lam)) and the window search
+# slows, then fails or returns a single level.
+QA_MAX = 100.0
+
+
 @functools.lru_cache(maxsize=256)
 def _window(qa: float, trunc_tol: float) -> TruncationWindow:
+    if qa > QA_MAX:
+        raise ValueError(f"qa = {qa!r} is above the supported maximum qa = {QA_MAX!r} (n0 = 5000)")
     lam = 0.5 * qa**2
     peak = max(1, int(math.floor(lam)) + 1)
     lo = hi = peak
@@ -248,6 +266,10 @@ class ModeSet:
 
     kind: str
     entries: tuple[tuple[ModeIndex, complex], ...]
+
+    @property
+    def n_min(self) -> int:
+        return min(idx.n for idx, _ in self.entries)
 
     @property
     def n_max(self) -> int:

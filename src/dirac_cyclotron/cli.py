@@ -414,6 +414,9 @@ SET2 = ModelParams(lambda_over_a=0.5, qa=10.0)
 
 # fixed seed for the randomized comparison times, recorded for reproducibility
 VALIDATE_SEED = 20260825
+# Taus per oracle call of a validate sweep: a sweep holds one slice's fields
+# at a time, at the cost of one kernel-stack build per block per slice.
+_SLICE_TAUS = 5
 
 
 def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple], bool]:
@@ -433,16 +436,25 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     mode_jc = build_mode_set("two_band", SET2)
 
     def field_dev(closed, params):
-        """|closed-form field - mode sum|, largest over the oracle field's grid."""
-        return lambda f, t: (float(np.max(np.abs(closed(*f.grid.mesh(), t, params) - f.samples))),)
+        """Per tau, |closed-form field - mode sum|, largest over the oracle field's grid."""
+        return lambda fields, taus: [
+            (float(np.max(np.abs(closed(*f.grid.mesh(), t, params) - f.samples))),)
+            for f, t in zip(fields, taus, strict=True)
+        ]
 
     def quadrature_devs(params, *checks):
-        """Per (closed, kinds) check, the largest |closed form - grid quadrature|."""
-        return lambda f, t: tuple(
-            max(abs(float(v[0]) - quadrature_expectation(kind, f, params))
-                for v, kind in zip(closed(t, params), kinds, strict=True))
-            for closed, kinds in checks
-        )
+        """Per tau and (closed, kinds) check, the largest |closed form - grid
+        quadrature|; each closed form is called once on the slice's tau axis."""
+        def devs(fields, taus) -> list[tuple]:
+            closed_values = [closed(taus, params) for closed, _ in checks]
+            return [
+                tuple(max(abs(float(v[i]) - quadrature_expectation(kind, f, params))
+                          for v, kind in zip(values, kinds, strict=True))
+                      for values, (_, kinds) in zip(closed_values, checks))
+                for i, f in enumerate(fields)
+            ]
+
+        return devs
 
     # every comparison time is drawn before the first sweep is submitted
     field_times1, field_times2 = (rng.uniform(0.0, 0.5 * sc.T_R, n_field_times).tolist()
@@ -458,11 +470,15 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
         submit = _now if ex is None else ex.submit
 
         def sweep(grid, modes, params, taus, values) -> Future:
-            """One task: the oracle fields over the tau axis, and per tau the
-            tuple ``values(field, tau)``."""
+            """One task: the oracle fields over slices of at most _SLICE_TAUS
+            taus, and per tau one tuple from ``values(fields, slice_taus)``;
+            a slice's fields are dropped before the next slice is summed."""
             def task() -> list[tuple]:
-                fields = sample_mode_sum(grid, taus, modes, params)
-                return [values(f, t) for f, t in zip(fields, taus, strict=True)]
+                per_tau = []
+                for start in range(0, len(taus), _SLICE_TAUS):
+                    part = taus[start:start + _SLICE_TAUS]
+                    per_tau += values(sample_mode_sum(grid, part, modes, params), part)
+                return per_tau
 
             return submit(task)
 
@@ -481,8 +497,8 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
         field_jc = sweep(field_grid2, mode_jc, SET2, field_times2, field_dev(jc_spinor, SET2))
 
         # conservation: the norm and <sigma_z> of the positive packet
-        cons = sweep(quad_grid1, mode_pos, SET1, cons_times,
-                     lambda f, t: (f.norm(), quadrature_expectation("sigma_z", f, SET1)))
+        cons = sweep(quad_grid1, mode_pos, SET1, cons_times, lambda fields, _: [
+            (f.norm(), quadrature_expectation("sigma_z", f, SET1)) for f in fields])
 
         # numeric p-integral vs closed-form kernel, on this thread
         pts = [(0.0, SET1.qa), (1.0, SET1.qa), (-2.0, SET1.qa + 1.0), (0.5, SET1.qa - 2.0),

@@ -54,12 +54,14 @@ def mode_sum_field(
     Q_{n-1}, Q_n in the two components selected by lambda_k.  ``tau`` is a
     scalar, giving shape ``(4,) + rho.shape``, or a 1-D axis, giving
     ``(len(tau), 4) + rho.shape``.  The sum runs over the flattened points
-    in blocks of at most ``_BLOCK_POINTS``: each block builds its own
-    (n_max + 1)-order kernel stack, which does not depend on tau, sums every
-    tau from it in order and frees it before the next block, so the oracle
-    never holds a full-grid stack.  Each point's terms are added in the same
-    order whatever its block and whatever the other taus, so neither the
-    blocking nor the tau axis changes a bit.
+    in blocks of at most ``_BLOCK_POINTS``: each block builds its own kernel
+    stack of the orders the mode set uses, max(0, n_min - 1) .. n_max, which
+    does not depend on tau, sums every tau from it in order and frees it
+    before the next block, so the oracle never holds a full-grid stack nor
+    the orders below the window.  Each point's terms are added in the same
+    order whatever its block and whatever the other taus, and each stored
+    kernel has the bits of the full stack's, so neither the blocking, the
+    tau axis nor the lowest order changes a bit.
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -68,12 +70,15 @@ def mode_sum_field(
     if taus.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-D axis, not of shape {taus.shape}")
     n_max = mode_set.n_max
+    k_min = max(0, mode_set.n_min - 1)  # the lowest kernel order any mode uses
     x, y = (c.ravel() for c in polar_to_xy(rho, theta, params))
     energies = _mode_energies(n_max, params, spectrum_variant)
     d_all, b_all = (c.tolist() for c in branch_coefficients(np.arange(n_max + 1), params))
 
     def terms(t: float) -> tuple[list, ...]:
-        """Each component's terms (factor * phase, kernel order) at time t, in entry order.
+        """Each component's terms (factor * phase, stack row) at time t, in entry order.
+
+        Row k - k_min of a block's stack holds the kernel Q_k.
 
         Mode (n, s) weights its two kernels by (d_n, -b_n) for s = +1 and by
         (b_n, d_n) for s = -1: lambda_k = +1 puts them on Q_{n-1} in psi_1 and
@@ -91,8 +96,8 @@ def mode_sum_field(
             else:
                 (lo, f_lo), (hi, f_hi) = (2, second), (1, first)
             if n >= 1:
-                comps[lo].append((f_lo * ph, n - 1))
-            comps[hi].append((f_hi * ph, n))
+                comps[lo].append((f_lo * ph, n - 1 - k_min))
+            comps[hi].append((f_hi * ph, n - k_min))
         return comps
 
     per_tau = [terms(t) for t in taus.reshape(-1).tolist()]
@@ -101,7 +106,7 @@ def mode_sum_field(
     term = np.empty(min(rho.size, _BLOCK_POINTS), dtype=complex)
     for start in range(0, rho.size, _BLOCK_POINTS):
         stop = min(start + _BLOCK_POINTS, rho.size)
-        q = q_kernel_stack(n_max, x[start:stop], y[start:stop], params)
+        q = q_kernel_stack(n_max, x[start:stop], y[start:stop], params, k_min)
         block_term = term[: stop - start]
         for field, field_terms in zip(out[:, :, start:stop], per_tau):
             for component, component_terms in zip(field, field_terms):

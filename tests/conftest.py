@@ -2,7 +2,8 @@
 
 import pytest
 
-from dirac_cyclotron import ModelParams
+from dirac_cyclotron import ModelParams, oracle
+from dirac_cyclotron.basis import q_kernel_stack
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -25,3 +26,17 @@ def set1() -> ModelParams:
 def set2() -> ModelParams:
     """Strongly relativistic packet: qa=10, lambda/a=0.5 (n0 = 50)."""
     return ModelParams(lambda_over_a=0.5, qa=10.0)
+
+
+@pytest.fixture
+def kernel_stacks(monkeypatch) -> list[tuple[int, int]]:
+    """(points, rows) of every kernel stack the oracle builds in the test, in order."""
+    built = []
+
+    def recording_stack(*args, **kwargs):
+        stack = q_kernel_stack(*args, **kwargs)
+        built.append((stack[0].size, len(stack)))
+        return stack
+
+    monkeypatch.setattr(oracle, "q_kernel_stack", recording_stack)
+    return built

@@ -28,7 +28,7 @@ from dirac_cyclotron import (
     spin_z_plateau_jc,
     truncation_window,
 )
-from dirac_cyclotron.basis import MODE_SET_KINDS, float_kahan_sum
+from dirac_cyclotron.basis import MODE_SET_KINDS, QA_MAX, float_kahan_sum
 
 
 class TestCoherentCoefficients:
@@ -59,6 +59,19 @@ class TestQKernel:
         stack = q_kernel_stack(12, xx, yy, p)
         for k in (0, 1, 5, 12):
             np.testing.assert_allclose(stack[k], q_kernel(k, xx, yy, p), atol=1e-14)
+
+    @pytest.mark.parametrize("k_min", [0, 1, 9, 12])
+    def test_stack_from_k_min_keeps_every_bit(self, k_min):
+        p = ModelParams(lambda_over_a=0.5, qa=10.0)
+        xx, yy = np.meshgrid(np.linspace(-4, 4, 9), np.linspace(6, 14, 7))
+        full = q_kernel_stack(12, xx, yy, p)
+        assert q_kernel_stack(12, xx, yy, p, k_min).tobytes() == full[k_min:].tobytes()
+
+    @pytest.mark.parametrize("k_min", [-1, 13])
+    def test_k_min_outside_orders_rejected(self, k_min):
+        p = ModelParams(lambda_over_a=0.5, qa=10.0)
+        with pytest.raises(ValueError, match="k_min"):
+            q_kernel_stack(12, 0.0, 10.0, p, k_min)
 
     def test_ratio_recurrence(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)
@@ -131,6 +144,21 @@ class TestTruncationWindow:
         assert proc.returncode == 1
         assert "ValueError" in proc.stderr
         assert "trunc_tol" in proc.stderr and "qa" in proc.stderr
+
+    def test_qa_above_maximum_raises(self):
+        # the window search at qa = 1e7 took over 45 s before the ceiling;
+        # run apart so that a slow search fails the test
+        code = "from dirac_cyclotron.basis import _window\n_window(1e7, 1e-12)"
+        env = dict(os.environ, PYTHONPATH=str(Path(dirac_cyclotron.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 1
+        assert "ValueError: qa = 10000000.0" in proc.stderr
+
+    def test_qa_at_maximum_has_a_window(self):
+        win = truncation_window(ModelParams(lambda_over_a=0.1, qa=QA_MAX))
+        assert (win.n_min, win.n_max) == (4520, 5496)
 
 
 # the two validation sets and a packet below one Landau level (n0 = 0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_cyclotron import ModelParams, PolarGrid, cli, derived_scales, oracle, q_kernel_stack
+from dirac_cyclotron import ModelParams, PolarGrid, cli, derived_scales, oracle
 from dirac_cyclotron.cli import (
     ConfigError,
     Scenario,
@@ -377,11 +378,12 @@ class TestExitCodes:
              "lambda_over_a"),
             (PHYSICS.format("timescales").replace("0.1", "1e-80"), "lambda_over_a"),
             (PHYSICS.format("timescales").replace("0.1", "1e160"), "lambda_over_a"),
+            (PHYSICS.format("timescales").replace("qa = 5", "qa = 1e8"), "qa = 100000000.0"),
         ],
         ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
              "duplicate_resolved_output", "trunc_tol", "t_end_multiplier", "t_nan",
              "t_end_inf", "missing_dir", "qa_below_one", "lambda_over_a_underflow",
-             "T_R_overflow", "lambda_over_a_overflow"],
+             "T_R_overflow", "lambda_over_a_overflow", "qa_above_maximum"],
     )
     def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
         cfg = tmp_path / "run.cfg"
@@ -481,21 +483,61 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="mode sum failed"):
             validation_report(quick=True, threads=2)
 
-    def test_no_kernel_stack_exceeds_one_block(self, monkeypatch):
-        built = []
-
-        def recording_stack(k_max, x, y, params):
-            built.append(np.size(x))
-            return q_kernel_stack(k_max, x, y, params)
-
-        monkeypatch.setattr(oracle, "q_kernel_stack", recording_stack)
+    def test_no_kernel_stack_exceeds_one_block(self, kernel_stacks):
         rows, ok = validation_report()
         assert ok
-        # one stack per block of each sweep, shared by all of its taus: the
-        # 50x64 field grids are one block each, the 120x256 quadrature grids
-        # of the velocity/spin and conservation sweeps two each
-        assert sorted(built) == [3200] * 2 + [14336] * 3 + [16384] * 3
-        assert max(built) <= oracle._BLOCK_POINTS
+        points = [p for p, _ in kernel_stacks]
+        # one stack per block of each oracle call, shared by all of its taus:
+        # the 50x64 field grids are one block each, the 120x256 quadrature
+        # grids two each, once per 5-tau slice of the two 10-tau
+        # velocity/spin sweeps and once for the 4-tau conservation sweep
+        assert sorted(points) == [3200] * 2 + [14336] * 5 + [16384] * 5
+        assert max(points) <= oracle._BLOCK_POINTS
+
+    def test_oracle_calls_get_at_most_five_taus(self, monkeypatch):
+        taus_per_call = []
+
+        def recording_sample(grid, tau, *args):
+            taus_per_call.append(np.size(tau))
+            return oracle.sample_mode_sum(grid, tau, *args)
+
+        monkeypatch.setattr(cli, "sample_mode_sum", recording_sample)
+        rows, ok = validation_report()
+        assert ok
+        assert max(taus_per_call) == 5
+        assert sorted(taus_per_call) == [4, 5, 5, 5, 5, 5, 5]
+
+    def test_closed_forms_called_once_per_slice(self, monkeypatch):
+        calls = {}
+
+        def recording(trace):
+            def recorded(tau, params):
+                calls.setdefault(trace.__name__, []).append(np.shape(tau))
+                return trace(tau, params)
+
+            return recorded
+
+        names = ("mean_velocity_jc", "mean_spin_z_jc", "mean_velocity_positive",
+                 "mean_spin_transverse")
+        for name in names:
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        rows, ok = validation_report()
+        assert ok
+        # two 5-tau slices of each 10-tau quadrature sweep, one axis call each
+        assert calls == {name: [(5,), (5,)] for name in names}
+
+    def test_peak_memory_below_one_stack_and_ten_fields(self):
+        # the parent design held a full SET2 block stack (110 orders) beside
+        # all ten 120x256 fields of a quadrature sweep
+        bound = (110 * oracle._BLOCK_POINTS + 10 * 4 * 120 * 256) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            rows, ok = validation_report(threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < bound
 
     def test_validate_subcommand(self, tmp_path, capsys):
         assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 0

@@ -182,25 +182,34 @@ class TestComponentPasses:
     @pytest.mark.parametrize("variant", ["exact", "taylor2"])
     @pytest.mark.parametrize("kind", MODE_SET_KINDS)
     @pytest.mark.parametrize("set_name", ["set1", "set2"])
-    def test_ragged_blocks_keep_every_bit(self, request, monkeypatch, set_name, kind, variant):
+    def test_ragged_blocks_keep_every_bit(
+        self, request, monkeypatch, kernel_stacks, set_name, kind, variant
+    ):
         params = request.getfixturevalue(set_name)
         grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
         rr, tt = grid.mesh()
         ms = build_mode_set(kind, params)
         taus = _three_taus(params)
-        built = []
-
-        def recording_stack(k_max, x, y, params):
-            built.append(np.size(x))
-            return q_kernel_stack(k_max, x, y, params)
-
         # 252 points: six blocks of 37 and a ragged block of 30
         monkeypatch.setattr(oracle, "_BLOCK_POINTS", 37)
-        monkeypatch.setattr(oracle, "q_kernel_stack", recording_stack)
         refs = np.stack([_entry_ordered_field(rr, tt, t, ms, params, variant) for t in taus])
         fields = mode_sum_field(rr, tt, taus, ms, params, variant)
         assert fields.tobytes() == refs.tobytes()
-        assert built == [37] * 6 + [30]  # one stack per block serves every tau
+        # one stack per block serves every tau
+        assert [p for p, _ in kernel_stacks] == [37] * 6 + [30]
+
+    @pytest.mark.parametrize(
+        "params, rows",
+        [(ModelParams(lambda_over_a=0.5, qa=10.0), 101),  # SET2, window 10..109
+         (ModelParams(lambda_over_a=0.05, qa=40.0), 405)],  # window 608..1011
+        ids=["set2", "qa40"],
+    )
+    def test_stack_holds_only_the_orders_in_use(self, kernel_stacks, params, rows):
+        ms = build_mode_set("two_band", params)
+        assert rows == ms.n_max - ms.n_min + 2  # Q_{n_min - 1} .. Q_{n_max}
+        rr, tt = PolarGrid(rho_max=params.qa + 6.0, n_rho=3, n_theta=4).mesh()
+        mode_sum_field(rr, tt, [0.0, 1.0], ms, params)
+        assert kernel_stacks == [(12, rows)]
 
     def test_self_built_kernels_stay_below_one_grid_stack(self, set2):
         grid = default_grid(set2)
