@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import itertools
 import math
 import re
 import sys
@@ -55,11 +54,15 @@ class ConfigError(Exception):
     """Raised for any malformed or incomplete configuration input."""
 
 
+# the one float spec of every artifact: 17 significant digits, '.' separator
+_FLOAT = "%.17g"
+
+
 def fmt(x) -> str:
     """Canonical float formatting: 17 significant digits, '.' separator."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return format(float(x), ".17g")
+    return _FLOAT % float(x)
 
 
 _PHYSICS_KEYS = ("lambda_over_a", "qa", "alpha", "beta")
@@ -171,15 +174,18 @@ def _write_artifact(
     path: Path,
     header: list[tuple[str, str]],
     columns: list[str],
-    lines: list[str],
+    payload: str,
     timestamp: bool,
 ) -> None:
-    """Write the provenance header, the column names and the formatted rows."""
+    """Write the provenance header, the column names and ``payload``, the
+    formatted rows, each ending in a newline."""
     text = [f"# dirac-cyclotron {__version__}"]
     if timestamp:
         text.append(f"# generated = {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
-    text += [f"# {k} = {v}" for k, v in header] + [",".join(columns)] + lines
-    path.write_text("\n".join(text) + "\n")
+    text += [f"# {k} = {v}" for k, v in header] + [",".join(columns), ""]
+    with path.open("w") as fh:
+        fh.write("\n".join(text))
+        fh.write(payload)
 
 
 def _write_table(
@@ -194,17 +200,30 @@ def _write_table(
 
     Row k starts with the k-th point of the product of the 1-D ``axes`` (the
     last axis varies fastest), each axis value formatted once, followed by
-    the k-th element of every array in ``values``.  Raises ArithmeticError,
-    before anything is written, if any value is not finite.
+    the k-th element of every array in ``values``.  Raises ArithmeticError
+    if any value is not finite, and ValueError if a column does not hold
+    one value per row, both before anything is written.
     """
     if not all(np.isfinite(v).all() for v in (*axes, *values)):
         raise ArithmeticError(f"non-finite value in the {path.name} payload")
-    # "%.17g" % x has the bytes of fmt(x) for every float and for small ints
-    row_format = ",".join(["%.17g"] * len(values))
-    points = itertools.product(*(["%.17g," % a for a in axis.tolist()] for axis in axes))
-    rows = zip(*(np.ravel(v).tolist() for v in values), strict=True)
-    lines = ["".join(p) + row_format % row for p, row in zip(points, rows, strict=True)]
-    _write_artifact(path, header, columns, lines, timestamp)
+    # the values in row order; np.stack raises ValueError on unequal columns
+    table = np.stack([np.ravel(v) for v in values], axis=1)
+    n_rows = math.prod(len(axis) for axis in axes)
+    if len(table) != n_rows:
+        raise ValueError(f"{len(table)} values per column for the {n_rows} rows "
+                         f"of the {path.name} payload")
+    # One template holds every row, and one '%' fills it.  Each prefix of
+    # the outer axes joins the rows of the last axis, so the Python work is
+    # per axis value, not per row.  Formatted finite numbers hold no '%',
+    # and _FLOAT % x has the bytes of fmt(x) for every float and small int.
+    cells = [[_FLOAT % a + "," for a in axis.tolist()] for axis in axes]
+    row = ",".join([_FLOAT] * len(values)) + "\n"
+    rows = [c + row for c in cells[-1]] if cells else [row]
+    prefixes = [""]
+    for outer in cells[:-1]:
+        prefixes = [p + c for p in prefixes for c in outer]
+    template = "".join([p + p.join(rows) for p in prefixes])
+    _write_artifact(path, header, columns, template % tuple(table.ravel().tolist()), timestamp)
 
 
 def _now(func, *args) -> Future:
@@ -397,8 +416,9 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
             print(f"{status:4s}  {name}  max|dev|={dev:.3e}  thr={thr:.0e}")
         header = [("scenario", "validate"), ("quick", str(quick).lower())]
         columns = ["check", "max_abs_deviation", "threshold", "status"]
-        lines = [f"{name},{fmt(dev)},{fmt(thr)},{status}" for name, dev, thr, status in rows]
-        _write_artifact(path, header, columns, lines, timestamp)
+        payload = "".join(f"{name},{fmt(dev)},{fmt(thr)},{status}\n"
+                          for name, dev, thr, status in rows)
+        _write_artifact(path, header, columns, payload, timestamp)
         if not ok:
             raise ArithmeticError("validation deviations exceed thresholds")
         return path

@@ -1,6 +1,7 @@
 """Config parsing, artifact provenance, scenario execution and exit codes."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_cyclotron import ModelParams, PolarGrid, cli, derived_scales, oracle
+from dirac_cyclotron import ModelParams, PolarGrid, __version__, cli, derived_scales, oracle
 from dirac_cyclotron.cli import (
     ConfigError,
     Scenario,
@@ -123,6 +124,79 @@ class TestFmt:
     @settings(max_examples=200, deadline=None)
     def test_floats_round_trip(self, x):
         assert float(fmt(x)) == x
+
+
+# boundary floats: signed zero, the smallest subnormal and normal, the
+# largest float, and values with long 17-digit forms
+SPECIAL = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-300, 0.1, 1 / 3]
+
+
+def reference_table(header, columns, axes, values) -> bytes:
+    """The ``--no-timestamp`` artifact bytes of a table, built row by row with fmt."""
+    cols = [np.ravel(v).tolist() for v in values]
+    points = itertools.product(*(axis.tolist() for axis in axes))
+    rows = [",".join([fmt(a) for a in point] + [fmt(col[k]) for col in cols])
+            for k, point in enumerate(points)]
+    head = [f"# dirac-cyclotron {__version__}", *(f"# {k} = {v}" for k, v in header)]
+    return "".join(line + "\n" for line in [*head, ",".join(columns), *rows]).encode()
+
+
+class TestWriteTable:
+    """_write_table formats a whole table with one '%'; its bytes must be
+    those of formatting every row with fmt."""
+
+    HEADER = [("scenario", "test"), ("qa", "5")]
+
+    def written(self, path, axes, values):
+        columns = [f"c{i}" for i in range(len(axes) + len(values))]
+        cli._write_table(path, self.HEADER, columns, axes, values, timestamp=False)
+        return path.read_bytes(), reference_table(self.HEADER, columns, axes, values)
+
+    @pytest.mark.parametrize(
+        "axes, values",
+        [
+            ((), [50, *SPECIAL]),
+            ((np.array(SPECIAL),), [np.array(SPECIAL[::-1])]),
+            ((np.array(SPECIAL),), [np.array(SPECIAL[::-1]), -np.array(SPECIAL)]),
+            ((np.array(SPECIAL[:3]), np.array(SPECIAL[3:])), [np.resize(SPECIAL, (3, 4))]),
+            ((np.array(SPECIAL[:3]), np.array(SPECIAL[3:])),
+             [np.resize(SPECIAL, (3, 4)), np.resize(SPECIAL[::-1], (3, 4))]),
+        ],
+        ids=["0_axes_int_column", "1_axis_1_column", "1_axis_2_columns",
+             "2_axes_1_column", "2_axes_2_columns"],
+    )
+    def test_bytes_match_rows_formatted_with_fmt(self, tmp_path, axes, values):
+        got, expected = self.written(tmp_path / "t.csv", axes, values)
+        assert got == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_tables_match_rows_formatted_with_fmt(self, tmp_path_factory, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        shape = data.draw(st.lists(st.integers(1, 4), min_size=0, max_size=2))
+        axes = tuple(np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+                     for n in shape)
+        size = math.prod(shape)
+        values = [np.reshape(data.draw(st.lists(finite, min_size=size, max_size=size)), shape)
+                  for _ in range(data.draw(st.integers(1, 3)))]
+        got, expected = self.written(tmp_path_factory.getbasetemp() / "drawn.csv", axes, values)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ([np.ones(3), np.ones(2)], ValueError),
+            ([np.ones(2)], ValueError),
+            ([np.ones(3), np.array([1.0, np.nan, 2.0])], ArithmeticError),
+        ],
+        ids=["short_column", "columns_shorter_than_axis", "nan"],
+    )
+    def test_bad_column_writes_nothing(self, tmp_path, values, error):
+        path = tmp_path / "t.csv"
+        with pytest.raises(error):
+            cli._write_table(path, self.HEADER, ["a", "b", "c"], (np.arange(3.0),), values,
+                             timestamp=False)
+        assert not path.exists()
 
 
 class TestParseConfig:
@@ -304,6 +378,30 @@ class TestScenarios:
             "m = 1\nn = 2\nn_rho = 20\nn_theta = 16\n"
         )
         assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
+
+
+class TestMapRange:
+    """Each exact map is finite on its default rho_max (qa + 6) just below the
+    qa at which its level sums overflow: from qa = 23.8 for the spin map
+    (first at rho = rho_max, theta = pi, tau = 0) and from qa = 34.8 for
+    both exact density maps.  n_theta = 4 puts theta = pi on the grid."""
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "[spin-map]\nqa = 23.5\n",
+            "[density-map]\nqa = 34.5\npacket = positive\n",
+            "[density-map]\nqa = 34.5\npacket = two_band\n",
+        ],
+        ids=["spin_map_qa23.5", "density_positive_qa34.5", "density_two_band_qa34.5"],
+    )
+    def test_finite_below_overflow(self, tmp_path, section):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(section + "lambda_over_a = 0.1\nalpha = 1\nbeta = 1\nt = 0.0\n"
+                       "n_rho = 7\nn_theta = 4\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
+        header = parse_provenance(next(tmp_path.glob("*.csv")).read_text())
+        assert float(header["rho_max"]) == float(header["qa"]) + 6.0
 
 
 class TestExitCodes:
