@@ -124,29 +124,29 @@ def q_kernel(k: int, x, y, params: ModelParams):
     return out if out.ndim else complex(out)
 
 
-def q_kernel_stack(k_max: int, x, y, params: ModelParams, k_min: int = 0) -> np.ndarray:
-    """Q_{k_min} .. Q_{k_max} on a grid via the ratio recurrence (axis 0 is k - k_min).
-
-    The recurrence always starts at Q_0 and takes the same steps, so row
-    k - k_min has the bits of row k of the full stack; the orders below
-    k_min are stepped through one at a time and not stored.
-    """
-    if not 0 <= k_min <= k_max:
-        raise ValueError(f"need 0 <= k_min <= k_max, got k_min = {k_min}, k_max = {k_max}")
+def q_kernel_walk(k_max: int, x, y, params: ModelParams):
+    """Yield Q_0 .. Q_{k_max} at (x, y) via the ratio recurrence, as one buffer
+    stepped in place (``* u``, then ``/ sqrt(2k)``): a caller reads or copies
+    Q_k before it asks for the next order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     qa = params.qa
     u = (y - qa) - 1j * x
-    q = np.exp((2j * x * (y + qa) - x**2 - (y - qa) ** 2) / 4.0) / math.sqrt(
-        2.0 * math.pi
+    expo = (2j * x * (y + qa) - x**2 - (y - qa) ** 2) / 4.0
+    q = np.asarray(np.exp(expo) / math.sqrt(2.0 * math.pi))
+    yield q
+    for k in range(1, k_max + 1):
+        np.multiply(q, u, out=q)
+        np.divide(q, math.sqrt(2.0 * k), out=q)
+        yield q
+
+
+def q_kernel_stack(k_max: int, x, y, params: ModelParams) -> np.ndarray:
+    """Q_0 .. Q_{k_max} on a grid via the ratio recurrence (axis 0 is k)."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.fromiter(
+        q_kernel_walk(k_max, x, y, params), np.dtype((complex, shape)), count=k_max + 1
     )
-    for k in range(1, k_min + 1):
-        q = q * u / math.sqrt(2.0 * k)
-    out = np.empty((k_max - k_min + 1,) + q.shape, dtype=complex)
-    out[0] = q
-    for i in range(1, k_max - k_min + 1):
-        out[i] = out[i - 1] * u / math.sqrt(2.0 * (k_min + i))
-    return out
 
 
 @dataclass(frozen=True)

@@ -435,7 +435,7 @@ SET2 = ModelParams(lambda_over_a=0.5, qa=10.0)
 # fixed seed for the randomized comparison times, recorded for reproducibility
 VALIDATE_SEED = 20260825
 # Taus per oracle call of a validate sweep: a sweep holds one slice's fields
-# at a time, at the cost of one kernel-stack build per block per slice.
+# at a time rather than all of them.
 _SLICE_TAUS = 5
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KahanAccumulator, ModeSet, q_kernel_stack
+from .basis import KahanAccumulator, ModeSet, q_kernel_walk
 from .fields import PolarGrid, polar_to_xy
 from .spectrum import ModelParams, branch_coefficients, phi, phi_taylor2
 
@@ -34,9 +34,10 @@ def _mode_energies(n_max: int, params: ModelParams, variant: str) -> np.ndarray:
     raise ValueError(f"unknown spectrum variant {variant!r}")
 
 
-# Points per block of the mode sum.  A block's kernel stack and the four
-# per-component buffers stay cache-sized; smaller blocks make more, shorter
-# ufunc calls, which cost more than they save when two threads share the GIL.
+# (tau, point) elements per block of the mode sum: a block holds
+# _BLOCK_POINTS // len(tau) points, so each ufunc call has this many elements
+# whatever the tau axis.  Smaller blocks make more, shorter ufunc calls, which
+# cost more than they save when two threads share the GIL.
 _BLOCK_POINTS = 16384
 
 
@@ -54,68 +55,66 @@ def mode_sum_field(
     Q_{n-1}, Q_n in the two components selected by lambda_k.  ``tau`` is a
     scalar, giving shape ``(4,) + rho.shape``, or a 1-D axis, giving
     ``(len(tau), 4) + rho.shape``.  The sum runs over the flattened points
-    in blocks of at most ``_BLOCK_POINTS``: each block builds its own kernel
-    stack of the orders the mode set uses, max(0, n_min - 1) .. n_max, which
-    does not depend on tau, sums every tau from it in order and frees it
-    before the next block, so the oracle never holds a full-grid stack nor
-    the orders below the window.  Each point's terms are added in the same
-    order whatever its block and whatever the other taus, and each stored
-    kernel has the bits of the full stack's, so neither the blocking, the
-    tau axis nor the lowest order changes a bit.
+    in blocks of ``_BLOCK_POINTS // len(tau)`` points.  Each block walks the
+    kernel orders Q_0 .. Q_{n_max} once, in one buffer stepped in place, and
+    at each order adds every term that uses it, for all taus at once, to
+    its component's compensated sum; no kernel stack is stored.  Mode-set
+    entries must be in ascending n (``ValueError`` otherwise): then each
+    component's kernel orders ascend in entry order, so every point's terms
+    are added in entry order whatever its block and whatever the other
+    taus, and neither the blocking nor the tau axis changes a bit.
     """
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    rho, theta = np.broadcast_arrays(rho, theta)
+    rho, theta = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(theta, dtype=float))
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-D axis, not of shape {taus.shape}")
+    ns = [idx.n for idx, _ in mode_set.entries]
+    if ns != sorted(ns):
+        raise ValueError("mode-set entries must be in ascending Landau index n")
+    if taus.size == 0:
+        return np.empty((0, 4) + rho.shape, dtype=complex)
     n_max = mode_set.n_max
-    k_min = max(0, mode_set.n_min - 1)  # the lowest kernel order any mode uses
     x, y = (c.ravel() for c in polar_to_xy(rho, theta, params))
     energies = _mode_energies(n_max, params, spectrum_variant)
     d_all, b_all = (c.tolist() for c in branch_coefficients(np.arange(n_max + 1), params))
+    tau_list = taus.reshape(-1).tolist()
 
-    def terms(t: float) -> tuple[list, ...]:
-        """Each component's terms (factor * phase, stack row) at time t, in entry order.
+    # Each kernel order's terms (component, (n_tau, 1) column of factor * phase),
+    # in entry order.  Mode (n, s) weights its two kernels by (d_n, -b_n) for
+    # s = +1 and by (b_n, d_n) for s = -1: lambda_k = +1 puts them on Q_{n-1}
+    # in psi_1 and Q_n in psi_4, lambda_k = -1 on Q_n in psi_2 and Q_{n-1} in
+    # psi_3.  Q_{n-1} is absent only at n = 0, where b_n = 0.
+    by_order: list[list] = [[] for _ in range(n_max + 1)]
+    for idx, amp in mode_set.entries:
+        n = idx.n
+        d, b = d_all[n], b_all[n]
+        phases = [amp * np.exp(-1j * idx.s * energies[n] * t) for t in tau_list]
+        first, second = (d, -b) if idx.s == +1 else (b, d)
+        if idx.lambda_k == +1:
+            (lo, f_lo), (hi, f_hi) = (0, first), (3, second)
+        else:
+            (lo, f_lo), (hi, f_hi) = (2, second), (1, first)
+        if n >= 1:
+            by_order[n - 1].append((lo, np.array([[f_lo * ph] for ph in phases])))
+        by_order[n].append((hi, np.array([[f_hi * ph] for ph in phases])))
 
-        Row k - k_min of a block's stack holds the kernel Q_k.
-
-        Mode (n, s) weights its two kernels by (d_n, -b_n) for s = +1 and by
-        (b_n, d_n) for s = -1: lambda_k = +1 puts them on Q_{n-1} in psi_1 and
-        Q_n in psi_4, lambda_k = -1 on Q_n in psi_2 and Q_{n-1} in psi_3.
-        Q_{n-1} is absent only at n = 0, where b_n = 0.
-        """
-        comps: tuple[list, ...] = ([], [], [], [])
-        for idx, amp in mode_set.entries:
-            n = idx.n
-            d, b = d_all[n], b_all[n]
-            ph = amp * np.exp(-1j * idx.s * energies[n] * t)
-            first, second = (d, -b) if idx.s == +1 else (b, d)
-            if idx.lambda_k == +1:
-                (lo, f_lo), (hi, f_hi) = (0, first), (3, second)
-            else:
-                (lo, f_lo), (hi, f_hi) = (2, second), (1, first)
-            if n >= 1:
-                comps[lo].append((f_lo * ph, n - 1 - k_min))
-            comps[hi].append((f_hi * ph, n - k_min))
-        return comps
-
-    per_tau = [terms(t) for t in taus.reshape(-1).tolist()]
-    # per block and tau, one compensated pass per component, each term formed in one buffer
-    out = np.empty((len(per_tau), 4, rho.size), dtype=complex)
-    term = np.empty(min(rho.size, _BLOCK_POINTS), dtype=complex)
-    for start in range(0, rho.size, _BLOCK_POINTS):
-        stop = min(start + _BLOCK_POINTS, rho.size)
-        q = q_kernel_stack(n_max, x[start:stop], y[start:stop], params, k_min)
-        block_term = term[: stop - start]
-        for field, field_terms in zip(out[:, :, start:stop], per_tau):
-            for component, component_terms in zip(field, field_terms):
-                acc = KahanAccumulator(component)
-                for f, k in component_terms:
-                    acc.add(np.multiply(f, q[k], out=block_term))
-                component[...] = acc.total
-        del q  # a block's stack is freed before the next one is built
+    out = np.empty((len(tau_list), 4, rho.size), dtype=complex)
+    points = max(1, _BLOCK_POINTS // len(tau_list))
+    for start in range(0, rho.size, points):
+        block = slice(start, start + points)
+        _sum_block(out[:, :, block], q_kernel_walk(n_max, x[block], y[block], params), by_order)
     return out.reshape(taus.shape + (4,) + rho.shape)
+
+
+def _sum_block(out: np.ndarray, walk, by_order: list[list]) -> None:
+    """Write one block's four sums into ``out``; its buffers go before the next block's."""
+    term = np.empty_like(out[:, 0])
+    sums = [KahanAccumulator(term) for _ in range(4)]
+    for q, order_terms in zip(walk, by_order):
+        for component, f in order_terms:
+            sums[component].add(np.multiply(f, q, out=term))
+    for component, acc in enumerate(sums):
+        out[:, component] = acc.total
 
 
 @dataclass(frozen=True)

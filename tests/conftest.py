@@ -3,7 +3,7 @@
 import pytest
 
 from dirac_cyclotron import ModelParams, oracle
-from dirac_cyclotron.basis import q_kernel_stack
+from dirac_cyclotron.basis import q_kernel_walk
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -29,14 +29,16 @@ def set2() -> ModelParams:
 
 
 @pytest.fixture
-def kernel_stacks(monkeypatch) -> list[tuple[int, int]]:
-    """(points, rows) of every kernel stack the oracle builds in the test, in order."""
-    built = []
+def kernel_walks(monkeypatch) -> list[list[int]]:
+    """[points, orders walked] of every kernel walk the oracle makes in the test, in order."""
+    walks = []
 
-    def recording_stack(*args, **kwargs):
-        stack = q_kernel_stack(*args, **kwargs)
-        built.append((stack[0].size, len(stack)))
-        return stack
+    def recording_walk(k_max, x, y, params):
+        walk = [x.size, 0]
+        walks.append(walk)
+        for q in q_kernel_walk(k_max, x, y, params):
+            walk[1] += 1
+            yield q
 
-    monkeypatch.setattr(oracle, "q_kernel_stack", recording_stack)
-    return built
+    monkeypatch.setattr(oracle, "q_kernel_walk", recording_walk)
+    return walks

@@ -28,7 +28,7 @@ from dirac_cyclotron import (
     spin_z_plateau_jc,
     truncation_window,
 )
-from dirac_cyclotron.basis import MODE_SET_KINDS, QA_MAX, float_kahan_sum
+from dirac_cyclotron.basis import MODE_SET_KINDS, QA_MAX, float_kahan_sum, q_kernel_walk
 
 
 class TestCoherentCoefficients:
@@ -60,18 +60,24 @@ class TestQKernel:
         for k in (0, 1, 5, 12):
             np.testing.assert_allclose(stack[k], q_kernel(k, xx, yy, p), atol=1e-14)
 
-    @pytest.mark.parametrize("k_min", [0, 1, 9, 12])
-    def test_stack_from_k_min_keeps_every_bit(self, k_min):
+    @pytest.mark.parametrize("k_max", [0, 1, 9, 12])
+    def test_walk_and_stack_keep_every_bit(self, k_max):
+        # the recurrence as first written: out of place, one new array per order
         p = ModelParams(lambda_over_a=0.5, qa=10.0)
         xx, yy = np.meshgrid(np.linspace(-4, 4, 9), np.linspace(6, 14, 7))
-        full = q_kernel_stack(12, xx, yy, p)
-        assert q_kernel_stack(12, xx, yy, p, k_min).tobytes() == full[k_min:].tobytes()
+        u = (yy - p.qa) - 1j * xx
+        q = np.exp((2j * xx * (yy + p.qa) - xx**2 - (yy - p.qa) ** 2) / 4.0) / math.sqrt(2 * math.pi)
+        ref = [q]
+        for k in range(1, k_max + 1):
+            ref.append(ref[-1] * u / math.sqrt(2.0 * k))
+        walked = [order.copy() for order in q_kernel_walk(k_max, xx, yy, p)]
+        assert np.array(walked).tobytes() == np.array(ref).tobytes()
+        assert q_kernel_stack(k_max, xx, yy, p).tobytes() == np.array(ref).tobytes()
 
-    @pytest.mark.parametrize("k_min", [-1, 13])
-    def test_k_min_outside_orders_rejected(self, k_min):
-        p = ModelParams(lambda_over_a=0.5, qa=10.0)
-        with pytest.raises(ValueError, match="k_min"):
-            q_kernel_stack(12, 0.0, 10.0, p, k_min)
+    def test_walk_steps_one_buffer_in_place(self):
+        p = ModelParams(lambda_over_a=0.1, qa=5.0)
+        buffers = list(q_kernel_walk(3, np.zeros(4), np.full(4, 6.0), p))
+        assert len(buffers) == 4 and all(q is buffers[0] for q in buffers)
 
     def test_ratio_recurrence(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)

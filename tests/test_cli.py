@@ -581,16 +581,17 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="mode sum failed"):
             validation_report(quick=True, threads=2)
 
-    def test_no_kernel_stack_exceeds_one_block(self, kernel_stacks):
+    def test_no_kernel_walk_exceeds_one_block(self, kernel_walks):
         rows, ok = validation_report()
         assert ok
-        points = [p for p, _ in kernel_stacks]
-        # one stack per block of each oracle call, shared by all of its taus:
-        # the 50x64 field grids are one block each, the 120x256 quadrature
-        # grids two each, once per 5-tau slice of the two 10-tau
-        # velocity/spin sweeps and once for the 4-tau conservation sweep
-        assert sorted(points) == [3200] * 2 + [14336] * 5 + [16384] * 5
-        assert max(points) <= oracle._BLOCK_POINTS
+        points = [p for p, _ in kernel_walks]
+        # one walk per block of each oracle call, shared by all of its taus;
+        # a block holds 16384 // n_tau points: the 50x64 field grids are one
+        # 5-tau block each, the 120x256 quadrature grids ten 5-tau blocks per
+        # slice of the two 10-tau velocity/spin sweeps and eight 4-tau blocks
+        # for the conservation sweep
+        assert sorted(points) == sorted([3200] * 2 + ([3276] * 9 + [1236]) * 4 + [4096] * 7 + [2048])
+        assert max(points) <= oracle._BLOCK_POINTS // 4
 
     def test_oracle_calls_get_at_most_five_taus(self, monkeypatch):
         taus_per_call = []

@@ -182,34 +182,60 @@ class TestComponentPasses:
     @pytest.mark.parametrize("variant", ["exact", "taylor2"])
     @pytest.mark.parametrize("kind", MODE_SET_KINDS)
     @pytest.mark.parametrize("set_name", ["set1", "set2"])
-    def test_ragged_blocks_keep_every_bit(
-        self, request, monkeypatch, kernel_stacks, set_name, kind, variant
-    ):
+    def test_ragged_blocks_keep_every_bit(self, request, monkeypatch, set_name, kind, variant):
         params = request.getfixturevalue(set_name)
         grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
         rr, tt = grid.mesh()
         ms = build_mode_set(kind, params)
         taus = _three_taus(params)
-        # 252 points: six blocks of 37 and a ragged block of 30
-        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 37)
+        # 252 points: blocks of 40 and a ragged 12 for one tau, of 13 and a ragged 5 for three
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 40)
         refs = np.stack([_entry_ordered_field(rr, tt, t, ms, params, variant) for t in taus])
-        fields = mode_sum_field(rr, tt, taus, ms, params, variant)
-        assert fields.tobytes() == refs.tobytes()
-        # one stack per block serves every tau
-        assert [p for p, _ in kernel_stacks] == [37] * 6 + [30]
+        for tau, ref in ((taus[1], refs[1]), (taus[1:2], refs[1:2]), (taus, refs)):
+            field = mode_sum_field(rr, tt, tau, ms, params, variant)
+            assert field.shape == ref.shape and field.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_tau, points", [(None, [40] * 6 + [12]), (1, [40] * 6 + [12]),
+                                               (3, [13] * 19 + [5]), (5, [8] * 31 + [4])])
+    def test_one_kernel_walk_per_block(self, monkeypatch, kernel_walks, set2, n_tau, points):
+        rr, tt = PolarGrid(rho_max=16.0, n_rho=14, n_theta=18).mesh()
+        ms = build_mode_set("two_band", set2)
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 40)
+        tau = 1.0 if n_tau is None else np.linspace(0.0, 1.0, n_tau)
+        mode_sum_field(rr, tt, tau, ms, set2)
+        # each block walks Q_0 .. Q_{n_max} once, for every tau and component
+        assert kernel_walks == [[p, ms.n_max + 1] for p in points]
 
     @pytest.mark.parametrize(
-        "params, rows",
-        [(ModelParams(lambda_over_a=0.5, qa=10.0), 101),  # SET2, window 10..109
-         (ModelParams(lambda_over_a=0.05, qa=40.0), 405)],  # window 608..1011
+        "params, n_rho, tau, slack_mib",
+        [(ModelParams(lambda_over_a=0.5, qa=10.0), 120, np.linspace(0.0, 100.0, 5), 6),
+         # window 608..1011: a stack of its orders would be 405 x 16384 x 16 B = 101 MiB
+         (ModelParams(lambda_over_a=0.05, qa=40.0), 64, 0.0, 7)],
         ids=["set2", "qa40"],
     )
-    def test_stack_holds_only_the_orders_in_use(self, kernel_stacks, params, rows):
+    def test_peak_stays_near_the_output(self, params, n_rho, tau, slack_mib):
+        rr, tt = PolarGrid(rho_max=params.qa + 6.0, n_rho=n_rho, n_theta=256).mesh()
         ms = build_mode_set("two_band", params)
-        assert rows == ms.n_max - ms.n_min + 2  # Q_{n_min - 1} .. Q_{n_max}
-        rr, tt = PolarGrid(rho_max=params.qa + 6.0, n_rho=3, n_theta=4).mesh()
-        mode_sum_field(rr, tt, [0.0, 1.0], ms, params)
-        assert kernel_stacks == [(12, rows)]
+        output = np.size(tau) * 4 * rr.size * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            mode_sum_field(rr, tt, tau, ms, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= output + slack_mib * 2**20
+
+    def test_unsorted_entries_rejected(self, set1):
+        ms = build_mode_set("two_band", set1)
+        unsorted = ModeSet(kind=ms.kind, entries=ms.entries[::-1])
+        rr, tt = PolarGrid(rho_max=3.0, n_rho=4, n_theta=5).mesh()
+        with pytest.raises(ValueError, match="ascending"):
+            mode_sum_field(rr, tt, 0.0, unsorted, set1)
+
+    def test_empty_tau_axis(self, set1):
+        rr, tt = PolarGrid(rho_max=3.0, n_rho=4, n_theta=5).mesh()
+        field = mode_sum_field(rr, tt, [], build_mode_set("two_band", set1), set1)
+        assert field.shape == (0, 4, 4, 5) and field.dtype == complex
 
     def test_self_built_kernels_stay_below_one_grid_stack(self, set2):
         grid = default_grid(set2)
