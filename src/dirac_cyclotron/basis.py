@@ -31,12 +31,15 @@ class KahanAccumulator:
     order, written into its own sum, compensation and one scratch array, so
     each term must fit the sum's shape and dtype.  ``total`` is then a live
     buffer that the next ``add`` overwrites; a 0-d sum gives a numpy scalar.
+    The internal ``_scratch`` argument hands in a caller's buffer of the
+    sum's shape and dtype as that scratch: each ``add`` then overwrites it,
+    so several sums can share it when every term is written into it afresh.
     """
 
-    def __init__(self, like):
+    def __init__(self, like, *, _scratch=None):
         self._s = np.zeros_like(like)
         self._c = np.zeros_like(like)
-        self._y = np.empty_like(self._s)
+        self._y = np.empty_like(self._s) if _scratch is None else _scratch
 
     def add(self, x):
         y, s, c = self._y, self._s, self._c

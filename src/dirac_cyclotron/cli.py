@@ -434,8 +434,9 @@ SET2 = ModelParams(lambda_over_a=0.5, qa=10.0)
 
 # fixed seed for the randomized comparison times, recorded for reproducibility
 VALIDATE_SEED = 20260825
-# Taus per oracle call of a validate sweep: a sweep holds one slice's fields
-# at a time rather than all of them.
+# Taus per oracle call of a validate sweep, and per pool task: a task holds
+# one slice's fields rather than a whole sweep's, and the slices of one
+# sweep can run on different threads.
 _SLICE_TAUS = 5
 
 
@@ -482,28 +483,29 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     taus1, taus2 = (rng.uniform(0.0, 0.5 * sc.T_R, n_obs_times).tolist() for sc in (sc1, sc2))
     cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R][: 2 if quick else 4]
 
-    # Every sweep is submitted before any result is read, so the
-    # kernel-quadrature check overlaps the pool work.  Each task is
+    # Every slice of every sweep is submitted before any result is read, so
+    # the kernel-quadrature check overlaps the pool work.  Each task is
     # deterministic, so the rows do not depend on the schedule.
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
     with pool as ex:
         submit = _now if ex is None else ex.submit
 
-        def sweep(grid, modes, params, taus, values) -> Future:
-            """One task: the oracle fields over slices of at most _SLICE_TAUS
-            taus, and per tau one tuple from ``values(fields, slice_taus)``;
-            a slice's fields are dropped before the next slice is summed."""
-            def task() -> list[tuple]:
-                per_tau = []
-                for start in range(0, len(taus), _SLICE_TAUS):
-                    part = taus[start:start + _SLICE_TAUS]
-                    per_tau += values(sample_mode_sum(grid, part, modes, params), part)
-                return per_tau
+        def task(grid, modes, params, part, values) -> list[tuple]:
+            """The oracle fields at the slice's taus ``part``, and per tau one
+            tuple from ``values(fields, part)``.  ``fields`` yields them in
+            tau order, each (with the conjugate its quadratures cache) dropped
+            once the next is read, and the last when the task returns."""
+            fields = sample_mode_sum(grid, part, modes, params)
+            return values((fields.pop(0) for _ in part), part)
 
-            return submit(task)
+        def sweep(grid, modes, params, taus, values) -> list[Future]:
+            """One task per slice of at most _SLICE_TAUS taus, in tau order."""
+            return [submit(task, grid, modes, params, taus[start:start + _SLICE_TAUS], values)
+                    for start in range(0, len(taus), _SLICE_TAUS)]
 
         # closed-form observables vs grid quadrature: one oracle field per tau
-        # serves every observable of the packet; the largest sweep goes first
+        # serves every observable of the packet; the largest sweep's slices
+        # go first
         quad_jc = sweep(quad_grid2, mode_jc, SET2, taus2, quadrature_devs(
             SET2, (mean_velocity_jc, ("velocity_x", "velocity_y")),
             (lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",))))
@@ -529,8 +531,8 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
 
         # per sweep, one tuple of per-tau values for each deviation column
         (fp,), (fj,), (vp, sp), (vj, sj), (norms, sz) = (
-            tuple(zip(*future.result(), strict=True))
-            for future in (field_pos, field_jc, quad_pos, quad_jc, cons)
+            tuple(zip(*(row for future in futures for row in future.result()), strict=True))
+            for futures in (field_pos, field_jc, quad_pos, quad_jc, cons)
         )
 
     table = [

@@ -36,8 +36,11 @@ def _mode_energies(n_max: int, params: ModelParams, variant: str) -> np.ndarray:
 
 # (tau, point) elements per block of the mode sum: a block holds
 # _BLOCK_POINTS // len(tau) points, so each ufunc call has this many elements
-# whatever the tau axis.  Smaller blocks make more, shorter ufunc calls, which
-# cost more than they save when two threads share the GIL.
+# whatever the tau axis.  With the term buffer as every sum's scratch, a
+# block's working set is about 2.75 MiB of complex buffers.  Smaller blocks
+# make more, shorter ufunc calls, which cost more than they save when two
+# threads share the GIL: on a SET2 two-band 5-tau sum (2-vCPU VM, 2 MiB L2
+# per core), 8192 and 12288 were 25-35% slower, and 24576 to 65536 no faster.
 _BLOCK_POINTS = 16384
 
 
@@ -68,6 +71,8 @@ def mode_sum_field(
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
         raise ValueError(f"tau must be a scalar or a 1-D axis, not of shape {taus.shape}")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError(f"tau must be finite, got {taus[~np.isfinite(taus)].tolist()}")
     ns = [idx.n for idx, _ in mode_set.entries]
     if ns != sorted(ns):
         raise ValueError("mode-set entries must be in ascending Landau index n")
@@ -107,9 +112,14 @@ def mode_sum_field(
 
 
 def _sum_block(out: np.ndarray, walk, by_order: list[list]) -> None:
-    """Write one block's four sums into ``out``; its buffers go before the next block's."""
+    """Write one block's four sums into ``out``; its buffers go before the next block's.
+
+    The term buffer is also the scratch of all four sums: each term is
+    written into it, and its ``add`` overwrites it with y = term - c, so
+    each sum adds two block-sized buffers (sum and compensation), not three.
+    """
     term = np.empty_like(out[:, 0])
-    sums = [KahanAccumulator(term) for _ in range(4)]
+    sums = [KahanAccumulator(term, _scratch=term) for _ in range(4)]
     for q, order_terms in zip(walk, by_order):
         for component, f in order_terms:
             sums[component].add(np.multiply(f, q, out=term))
@@ -122,7 +132,7 @@ class OracleField:
     """A mode-sum field sampled on a polar grid at one time.
 
     The samples are taken as fixed once the field exists, so its grid norm
-    is computed once.
+    and its complex conjugate are computed once.
     """
 
     grid: PolarGrid
@@ -130,6 +140,13 @@ class OracleField:
 
     def norm(self) -> float:
         return self._norm
+
+    @functools.cached_property
+    def conj_samples(self) -> np.ndarray:
+        """``samples.conj()``, read-only."""
+        conj = self.samples.conj()
+        conj.flags.writeable = False
+        return conj
 
     @functools.cached_property
     def _norm(self) -> float:
@@ -190,7 +207,7 @@ def quadrature_expectation(kind: str, field: OracleField, params: ModelParams) -
         op = matrices[kind]
     except KeyError:
         raise ValueError(f"unknown operator kind {kind!r}") from None
-    dens = np.einsum("i...,ij,j...->...", psi.conj(), op, psi)
+    dens = np.einsum("i...,ij,j...->...", field.conj_samples, op, psi)
     return float(np.real(field.grid.integrate(dens)))
 
 
@@ -202,8 +219,11 @@ def fidelity(field_a: np.ndarray, field_b: np.ndarray, grid: PolarGrid) -> float
 
 def normalized_fidelity(field_a: np.ndarray, field_b: np.ndarray, grid: PolarGrid) -> float:
     """Fidelity with both fields normalized on the grid first."""
-    na = math.sqrt(float(grid.integrate(np.sum(np.abs(field_a) ** 2, axis=0))))
-    nb = math.sqrt(float(grid.integrate(np.sum(np.abs(field_b) ** 2, axis=0))))
+    na, nb = (math.sqrt(float(grid.integrate(np.sum(np.abs(f) ** 2, axis=0))))
+              for f in (field_a, field_b))
+    for name, norm in (("field_a", na), ("field_b", nb)):
+        if not norm > 0.0:
+            raise ValueError(f"{name} has grid norm {norm}, so it cannot be normalized")
     return fidelity(field_a, field_b, grid) / (na * nb)
 
 
@@ -213,6 +233,8 @@ def hermite_functions(k_max: int, xi) -> np.ndarray:
     h_k(xi) = H_k(xi) exp(-xi^2/2) / sqrt(2^k k! sqrt(pi)); the normalized
     three-term recurrence keeps values O(1) for k in the hundreds.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
     xi = np.asarray(xi, dtype=float)
     out = np.empty((k_max + 1,) + xi.shape)
     out[0] = math.pi**-0.25 * np.exp(-0.5 * xi**2)

@@ -371,6 +371,27 @@ class TestKahanAccumulator:
         assert type(total) is float
         assert total.hex() == float(acc.total).hex()
 
+    def test_shared_scratch_keeps_every_bit(self):
+        # four sums fed interleaved through one scratch buffer, as the oracle's
+        # block sums are: each term is written into the scratch, and its add
+        # then overwrites it
+        shape = (3, 5)
+        terms = self._ill_conditioned_terms(shape)
+        sequences = [terms[j::4] for j in range(4)]
+        scratch = np.empty(shape, dtype=complex)
+        shared = [KahanAccumulator(scratch, _scratch=scratch) for _ in range(4)]
+        own = [KahanAccumulator(np.zeros(shape, dtype=complex)) for _ in range(4)]
+        for step in zip(*sequences, strict=True):
+            for x, a, b in zip(step, shared, own, strict=True):
+                np.copyto(scratch, x)
+                a.add(scratch)
+                b.add(x)
+        for seq, a, b in zip(sequences, shared, own, strict=True):
+            reference = _kahan_reference(seq, np.zeros(shape, dtype=complex))
+            assert a.total.tobytes() == b.total.tobytes() == reference.tobytes()
+            assert np.sum(seq, axis=0).tobytes() != reference.tobytes()
+            assert not np.shares_memory(a.total, scratch)
+
     def test_accumulators_never_share_a_buffer(self):
         like = np.zeros((3, 4), dtype=complex)
         a, b = KahanAccumulator(like), KahanAccumulator(like)

@@ -546,7 +546,10 @@ class TestValidation:
         assert all(r[3] == "pass" for r in rows)
 
     def test_quick_report_independent_of_threads(self):
-        assert validation_report(quick=True, threads=1) == validation_report(quick=True, threads=2)
+        # three threads: more workers than a 2-core machine has
+        one = validation_report(quick=True, threads=1)
+        assert one == validation_report(quick=True, threads=2)
+        assert one == validation_report(quick=True, threads=3)
 
     def test_quick_artifact_bytes_pinned(self, tmp_path):
         assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 0
@@ -572,6 +575,36 @@ class TestValidation:
         assert ok
         assert len(made) == pools
         assert all(kw == {"max_workers": threads} for kw in made)
+
+    @pytest.mark.parametrize("quick, tasks", [(True, 5), (False, 7)])
+    def test_one_pool_task_per_slice(self, monkeypatch, quick, tasks):
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        rows, ok = validation_report(quick=quick, threads=2)
+        assert ok
+        # two slices of each velocity/spin sweep, one of each other sweep
+        assert len(submitted) == tasks
+
+    def test_largest_sweep_slices_go_first(self, monkeypatch):
+        calls = []
+
+        def recording_sample(grid, tau, modes, params):
+            calls.append((params, grid.n_rho * grid.n_theta, np.size(tau)))
+            return oracle.sample_mode_sum(grid, tau, modes, params)
+
+        monkeypatch.setattr(cli, "sample_mode_sum", recording_sample)
+        rows, ok = validation_report()
+        assert ok
+        # on one thread the tasks run in the order they are submitted: the
+        # two SET2 slices on the 120x256 quadrature grid first
+        assert calls[:2] == [(cli.SET2, 120 * 256, 5)] * 2
+        assert (cli.SET2, 120 * 256, 5) not in calls[2:]
 
     def test_pool_task_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

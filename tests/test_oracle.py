@@ -115,6 +115,17 @@ class TestTauAxis:
         with pytest.raises(ValueError, match="1-D axis"):
             mode_sum_field(rr, tt, np.zeros((2, 2)), ms, set1)
 
+    @pytest.mark.parametrize("tau", [math.nan, [0.0, math.inf], [1.0, -math.inf, math.nan]])
+    def test_non_finite_tau_rejected_before_any_block(self, monkeypatch, set1, grid1, tau):
+        def no_block(*args):
+            raise AssertionError("a block was summed")
+
+        monkeypatch.setattr(oracle, "_sum_block", no_block)
+        rr, tt = grid1.mesh()
+        ms = build_mode_set("positive_only", set1)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            mode_sum_field(rr, tt, tau, ms, set1)
+
 
 def _entry_ordered_field(rho, theta, tau, mode_set, params, variant):
     """The mode sum as first written: four out-of-place compensated sums,
@@ -288,6 +299,14 @@ class TestUnitarityAndFidelity:
         assert fidelity(f.samples, f.samples, grid1) == pytest.approx(f.norm(), rel=1e-12)
         assert normalized_fidelity(f.samples, f.samples, grid1) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("blank", ["field_a", "field_b"])
+    def test_zero_norm_field_rejected(self, set1, grid1, blank):
+        f = sample_mode_sum(grid1, 0.0, build_mode_set("positive_only", set1), set1).samples
+        zero = np.zeros_like(f)
+        fields = (zero, f) if blank == "field_a" else (f, zero)
+        with pytest.raises(ValueError, match=f"{blank} has grid norm 0.0"):
+            normalized_fidelity(*fields, grid1)
+
     def test_distinct_modes_orthogonal(self, set1, grid1):
         rr, tt = grid1.mesh()
         a = mode_sum_field(rr, tt, 0.0, _single_mode_set(ModeIndex(12, +1, +1), set1), set1)
@@ -325,6 +344,19 @@ class TestQuadrature:
         assert abs(quadrature_expectation("position_x", f, set1)) < 0.05
         assert abs(quadrature_expectation("position_y", f, set1)) < 0.05
 
+    def test_conjugate_built_once(self, set1, grid1):
+        f = sample_mode_sum(grid1, 0.7, build_mode_set("positive_only", set1), set1)
+        first = quadrature_expectation("velocity_x", f, set1)
+        conj = f.conj_samples
+        assert "conj_samples" in vars(f)  # the quadrature built it
+        assert not conj.flags.writeable
+        assert conj.tobytes() == f.samples.conj().tobytes()
+        for kind in ("velocity_y", "sigma_x", "sigma_y", "sigma_z"):
+            quadrature_expectation(kind, f, set1)
+        assert f.conj_samples is conj
+        dens = np.einsum("i...,ij,j...->...", f.samples.conj(), oracle._ALPHA_X, f.samples)
+        assert first == float(np.real(grid1.integrate(dens)))
+
     def test_unknown_operator_rejected(self, set1, grid1):
         ms = build_mode_set("positive_only", set1)
         f = sample_mode_sum(grid1, 0.0, ms, set1)
@@ -350,6 +382,10 @@ class TestHermiteFunctions:
         x = np.array([0.0, 1.0])
         h = hermite_functions(0, x)
         np.testing.assert_allclose(h[0], math.pi**-0.25 * np.exp(-0.5 * x**2), rtol=1e-14)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="k_max must be non-negative"):
+            hermite_functions(-1, np.zeros(3))
 
     def test_parity(self):
         x = np.linspace(-3, 3, 7)
