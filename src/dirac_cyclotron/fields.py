@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KahanAccumulator, kahan_sum, levels
+from .basis import KahanAccumulator, levels, row_blocks
 from .spectrum import ModelParams, taylor_at
 
 
@@ -120,28 +120,38 @@ def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.nda
     w = -0.5 * qa * rho * np.exp(-1j * theta)  # gamma * e^{-i theta}
     e_mth = np.exp(-1j * theta)
 
+    # per level k: the weights and phase of Landau index k (components 1 and
+    # 4), then of n = k - 1 (components 2 and 3); each phase is built once
+    phase = {n: np.exp(-1j * p[n] * tau) for n in range(win.n_min - 1, win.n_max + 1)}
+    series = [
+        (k, al * d[k], -al * b[k], math.sqrt(2.0 * k), phase[k], be * d[k - 1],
+         be * b[k - 1] * qa / math.sqrt(2.0 * (k - 1)) if k >= 2 else None, phase[k - 1])
+        for k in range(win.n_min, win.n_max + 1)
+    ]
     shape = np.broadcast_shapes(rho.shape, theta.shape)
-    acc = [KahanAccumulator(np.zeros(shape, dtype=complex)) for _ in range(4)]
-    W = _scaled_power(w, win.n_min - 1)  # w^(k-1)/(k-1)! at k = n_min
-    W_prev = _scaled_power(w, win.n_min - 2) if win.n_min >= 2 else None
-    for k in range(win.n_min, win.n_max + 1):
-        # lambda_k=+1 branch: Landau index n = k, components 1 and 4
-        if al != 0.0:
-            ph = np.exp(-1j * p[k] * tau)
-            acc[0].add(al * d[k] * W * ph)
-            acc[3].add(-al * b[k] * rho / math.sqrt(2.0 * k) * W * e_mth * ph)
-        # lambda_k=-1 branch: Landau index n = k - 1, components 2 and 3
-        if be != 0.0:
-            n = k - 1
-            ph = np.exp(-1j * p[n] * tau)
-            acc[1].add(be * d[n] * W * ph)
-            if n >= 1:
-                acc[2].add(be * b[n] * qa / math.sqrt(2.0 * n) * W_prev * ph)
-        W_prev = W
-        W = W * w / k
+    totals = np.empty((4,) + shape, dtype=complex)
+    for block, (w_b, rho_b, e_b) in row_blocks(shape, w, rho, e_mth):
+        term = np.empty_like(totals[0, block])
+        acc = [KahanAccumulator(term, _scratch=term) for _ in range(4)]
+        W = _scaled_power(w_b, win.n_min - 1)  # w^(k-1)/(k-1)! at k = n_min
+        W_prev = _scaled_power(w_b, win.n_min - 2) if win.n_min >= 2 else np.empty_like(W)
+        for k, a1, a4, root_2k, ph_k, b2, b3, ph_n in series:
+            # lambda_k=+1 branch: Landau index n = k, components 1 and 4
+            if al != 0.0:
+                acc[0].add(np.multiply(np.multiply(a1, W, out=term), ph_k, out=term))
+                np.multiply(a4 * rho_b / root_2k, W, out=term)
+                acc[3].add(np.multiply(np.multiply(term, e_b, out=term), ph_k, out=term))
+            # lambda_k=-1 branch: Landau index n = k - 1, components 2 and 3
+            if be != 0.0:
+                acc[1].add(np.multiply(np.multiply(b2, W, out=term), ph_n, out=term))
+                if b3 is not None:
+                    acc[2].add(np.multiply(np.multiply(b3, W_prev, out=term), ph_n, out=term))
+            W_prev, W = W, np.divide(np.multiply(W, w_b, out=W_prev), k, out=W_prev)
+        for i, a in enumerate(acc):
+            totals[i, block] = a.total
 
     pref = envelope_prefactor(rho, theta, params) / params.weight_norm
-    return np.stack([pref * a.total for a in acc])
+    return np.stack([pref * a for a in totals])
 
 
 def classical_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
@@ -229,10 +239,18 @@ def fractional_revival_field(
     _, dp, _ = taylor_at(params.n0, params)
     t_cl = 2.0 * math.pi / dp
     period, p = gauss_sum_coefficients(m, n)
-    return kahan_sum(
-        p[j] * classical_field(rho, theta, tau + j * t_cl / period, params)
-        for j in range(period)
-    )
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
+    out = np.empty((4,) + shape, dtype=complex)
+    for block, (rho_b, theta_b) in row_blocks(shape, rho, theta):
+        term = np.empty_like(out[:, block])
+        acc = KahanAccumulator(term, _scratch=term)
+        for j in range(period):
+            field = classical_field(rho_b, theta_b, tau + j * t_cl / period, params)
+            acc.add(np.multiply(p[j], field, out=term))
+        out[:, block] = acc.total
+    return out
 
 
 def jc_field(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -248,21 +266,29 @@ def jc_field(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarray, n
     qa, la = params.qa, params.lambda_over_a
     w = -0.5 * qa * rho * np.exp(-1j * theta)
 
-    shape = np.broadcast_shapes(rho.shape, theta.shape)
-    acc1 = KahanAccumulator(np.zeros(shape, dtype=complex))
-    acc2 = KahanAccumulator(np.zeros(shape, dtype=complex))
     n_start = max(1, win.n_min)
-    W = _scaled_power(w, n_start - 1)
+    series = []  # per level n: the weights of its two sums at tau
     for n in range(n_start, win.n_max + 1):
         p = phis[n]
         c_t, s_t = math.cos(p * tau), math.sin(p * tau)
-        acc1.add(W * (c_t - 1j * s_t / p))
-        acc2.add(W * (s_t / p))
-        W = W * w / n
+        series.append((n, c_t - 1j * s_t / p, s_t / p))
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
+    totals = np.empty((2,) + shape, dtype=complex)
+    for block, (w_b,) in row_blocks(shape, w):
+        term = np.empty_like(totals[0, block])
+        acc1 = KahanAccumulator(term, _scratch=term)
+        acc2 = KahanAccumulator(term, _scratch=term)
+        W = _scaled_power(w_b, n_start - 1)
+        for n, z1, z2 in series:
+            acc1.add(np.multiply(W, z1, out=term))
+            acc2.add(np.multiply(W, z2, out=term))
+            np.divide(np.multiply(W, w_b, out=W), n, out=W)
+        totals[0, block] = acc1.total
+        totals[1, block] = acc2.total
 
     pref = envelope_prefactor(rho, theta, params)
-    psi1 = pref * acc1.total
-    psi2 = pref * 1j * la * rho * np.exp(-1j * theta) * acc2.total
+    psi1 = pref * totals[0]
+    psi2 = pref * 1j * la * rho * np.exp(-1j * theta) * totals[1]
     return psi1, psi2
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .basis import KahanAccumulator, _log_weight_sq, float_kahan_sum, levels
+from .basis import KahanAccumulator, _log_weight_sq, float_kahan_sum, levels, row_blocks
 from .fields import PolarGrid
 from .spectrum import ModelParams, taylor, taylor_at
 
@@ -142,32 +142,40 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
     with np.errstate(divide="ignore"):
         lg = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
 
-    shape = np.broadcast_shapes(rho.shape, theta.shape)
-    s_a1 = KahanAccumulator(np.zeros(shape, dtype=complex))
-    s_a2 = KahanAccumulator(np.zeros(shape, dtype=complex))
-    s_b1 = KahanAccumulator(np.zeros(shape, dtype=complex))
-    s_b2 = KahanAccumulator(np.zeros(shape, dtype=complex))
     # One ascending pass builds each level's base term once and feeds it to
     # every sum whose window holds m, so each sum still sees its own terms in
-    # ascending order.  Only one base array is alive at a time.
+    # ascending order.  Per level m: (sum, weight, phase) of each such sum,
+    # with exp(i phi_j tau) computed once per level j.
+    phase = {j: np.exp(1j * p[j] * tau) for j in range(max(0, win.n_min - 2), win.n_max + 1)}
+    series = []
     for m in range(max(0, win.n_min - 2), win.n_max + 1):
-        if m == 0:
-            pw = np.ones_like(x)
-        else:
-            out = np.exp(m * lg - math.lgamma(m + 1))
-            pw = np.where(mag > 0, ((-1.0) ** m) * out, 0.0)
-        base = pw * e_pth**m
+        terms = []
         if win.n_min - 1 <= m < win.n_max:
-            s_a1.add(base * math.sqrt((p[m + 1] + 1.0) / p[m + 1]) * np.exp(1j * p[m + 1] * tau))
-            s_a2.add(base * math.sqrt((p[m] + 1.0) / p[m]) * np.exp(1j * p[m] * tau))
+            terms.append((0, math.sqrt((p[m + 1] + 1.0) / p[m + 1]), phase[m + 1]))
+            terms.append((1, math.sqrt((p[m] + 1.0) / p[m]), phase[m]))
         if m < win.n_max - 1:
-            s_b1.add(
-                base
-                * math.sqrt((p[m + 1] - 1.0) / ((m + 1) * p[m + 1]))
-                * np.exp(1j * p[m + 1] * tau)
-            )
+            terms.append((2, math.sqrt((p[m + 1] - 1.0) / ((m + 1) * p[m + 1])), phase[m + 1]))
         if m >= win.n_min:
-            s_b2.add(base * math.sqrt(m * (p[m] - 1.0) / p[m]) * np.exp(1j * p[m] * tau))
+            terms.append((3, math.sqrt(m * (p[m] - 1.0) / p[m]), phase[m]))
+        series.append((m, terms))
+    shape = np.broadcast_shapes(rho.shape, theta.shape)
+    totals = np.empty((4,) + shape, dtype=complex)
+    for block, (mag_b, lg_b, e_b) in row_blocks(shape, mag, lg, e_pth):
+        base = np.empty_like(totals[0, block])
+        term = np.empty_like(base)
+        sums = [KahanAccumulator(term, _scratch=term) for _ in range(4)]
+        for m, terms in series:
+            if m == 0:
+                pw = np.ones_like(lg_b)
+            else:
+                out = np.exp(m * lg_b - math.lgamma(m + 1))
+                pw = np.where(mag_b > 0, ((-1.0) ** m) * out, 0.0)
+            np.multiply(pw, e_b**m, out=base)
+            for i, f, ph in terms:
+                sums[i].add(np.multiply(np.multiply(base, f, out=term), ph, out=term))
+        for i, acc in enumerate(sums):
+            totals[i, block] = acc.total
+    s_a1, s_a2, s_b1, s_b2 = totals
     pref = (
         params.alpha
         * params.beta
@@ -175,9 +183,7 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
         * np.exp(-0.5 * (qa**2 + rho**2))
         / (2.0 * math.pi)
     )
-    s = pref * (
-        s_a1.total * np.conj(s_a2.total) + s_b1.total * np.conj(s_b2.total)
-    )
+    s = pref * (s_a1 * np.conj(s_a2) + s_b1 * np.conj(s_b2))
     return s.real, s.imag
 
 

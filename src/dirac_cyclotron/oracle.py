@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KahanAccumulator, ModeSet, q_kernel_walk
+from .basis import _BLOCK_POINTS, KahanAccumulator, ModeSet, q_kernel_walk, row_blocks
 from .fields import PolarGrid, polar_to_xy
 from .spectrum import ModelParams, branch_coefficients, phi, phi_taylor2
 
@@ -32,16 +32,6 @@ def _mode_energies(n_max: int, params: ModelParams, variant: str) -> np.ndarray:
         # integer-centred quadratic spectrum: the structural-revival variant
         return np.asarray(phi_taylor2(np.arange(n_max + 1), params, params.n0))
     raise ValueError(f"unknown spectrum variant {variant!r}")
-
-
-# (tau, point) elements per block of the mode sum: a block holds
-# _BLOCK_POINTS // len(tau) points, so each ufunc call has this many elements
-# whatever the tau axis.  With the term buffer as every sum's scratch, a
-# block's working set is about 2.75 MiB of complex buffers.  Smaller blocks
-# make more, shorter ufunc calls, which cost more than they save when two
-# threads share the GIL: on a SET2 two-band 5-tau sum (2-vCPU VM, 2 MiB L2
-# per core), 8192 and 12288 were 25-35% slower, and 24576 to 65536 no faster.
-_BLOCK_POINTS = 16384
 
 
 def mode_sum_field(
@@ -104,10 +94,8 @@ def mode_sum_field(
         by_order[n].append((hi, np.array([[f_hi * ph] for ph in phases])))
 
     out = np.empty((len(tau_list), 4, rho.size), dtype=complex)
-    points = max(1, _BLOCK_POINTS // len(tau_list))
-    for start in range(0, rho.size, points):
-        block = slice(start, start + points)
-        _sum_block(out[:, :, block], q_kernel_walk(n_max, x[block], y[block], params), by_order)
+    for block, (xb, yb) in row_blocks((rho.size,), x, y, points=_BLOCK_POINTS // len(tau_list)):
+        _sum_block(out[:, :, block], q_kernel_walk(n_max, xb, yb, params), by_order)
     return out.reshape(taus.shape + (4,) + rho.shape)
 
 
@@ -186,7 +174,7 @@ def quadrature_expectation(kind: str, field: OracleField, params: ModelParams) -
     """
     psi = field.samples
     norm = field.norm()
-    if abs(norm - 1.0) > 1e-3:
+    if not abs(norm - 1.0) <= 1e-3:  # a NaN norm fails this too
         raise ValueError(f"field norm {norm:.6f} deviates too far from 1 (grid too small?)")
     if kind == "norm":
         return norm

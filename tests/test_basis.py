@@ -28,7 +28,14 @@ from dirac_cyclotron import (
     spin_z_plateau_jc,
     truncation_window,
 )
-from dirac_cyclotron.basis import MODE_SET_KINDS, QA_MAX, float_kahan_sum, q_kernel_walk
+from dirac_cyclotron.basis import (
+    _BLOCK_POINTS,
+    MODE_SET_KINDS,
+    QA_MAX,
+    float_kahan_sum,
+    q_kernel_walk,
+    row_blocks,
+)
 
 
 class TestCoherentCoefficients:
@@ -405,3 +412,54 @@ class TestKahanAccumulator:
         assert np.all(like == 0)
         assert np.all(b.total == -5.0 - 5j)
         assert np.all(a.total == 5e16 + 10)
+
+
+def _block_inputs(kind: str, n: int, m: int, points: int) -> tuple[np.ndarray, ...]:
+    """Two inputs of one kind whose broadcast sum numbers the points in order."""
+    rows = np.arange(n, dtype=float)[:, None] * m
+    if kind == "0-d":
+        return np.array(2.0), np.array(3.0)
+    if kind == "1-D":
+        return np.arange(n, dtype=float), np.array(0.0)
+    if kind == "wide row":  # one row holds more points than a block may
+        m = points + m
+        rows = np.arange(n, dtype=float)[:, None] * m
+    cols = np.arange(m, dtype=float)[None, :]
+    if kind == "mesh":
+        return tuple(a.copy() for a in np.broadcast_arrays(rows, cols))
+    return rows, cols
+
+
+class TestRowBlocks:
+    @given(
+        kind=st.sampled_from(["0-d", "1-D", "axes", "mesh", "wide row"]),
+        n=st.integers(min_value=0, max_value=30),
+        m=st.integers(min_value=1, max_value=30),
+        points=st.integers(min_value=1, max_value=100),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_cover_every_point_once_in_order(self, kind, n, m, points):
+        arrays = _block_inputs(kind, n, m, points)
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        whole = np.broadcast_arrays(*arrays)
+        seen = []
+        for index, views in row_blocks(shape, *arrays, points=points):
+            block = np.add(*views)
+            assert block.shape == whole[0][index].shape
+            assert block.size <= points or block.shape[0] == 1
+            for view, full in zip(np.broadcast_arrays(*views), whole, strict=True):
+                assert view.tobytes() == full[index].tobytes()
+            seen.extend(block.ravel().tolist())
+        if kind == "0-d":
+            assert seen == [5.0]
+        else:
+            assert seen == list(range(math.prod(shape)))
+
+    @given(size=st.integers(min_value=0, max_value=3000), n_tau=st.integers(min_value=1, max_value=20000))
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_blocks_keep_their_point_ranges(self, size, n_tau):
+        # mode_sum_field's flattened points, in runs of _BLOCK_POINTS // n_tau (at least one)
+        x = np.arange(size, dtype=float)
+        points = max(1, _BLOCK_POINTS // n_tau)
+        got = [(b.start, len(xb)) for b, (xb,) in row_blocks((size,), x, points=_BLOCK_POINTS // n_tau)]
+        assert got == [(s, min(points, size - s)) for s in range(0, size, points)]

@@ -1,5 +1,6 @@
 """Closed-form fields vs the mode-sum engine, grids, revivals and cat states."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -229,25 +230,62 @@ MAP_KERNELS = {
 }
 
 
+# the packets of the map byte checks: alpha = beta, alpha != beta, alpha = 0
+MAP_PARAMS = {
+    "set1": ModelParams(lambda_over_a=0.1, qa=5.0),
+    "set2_alpha_ne_beta": ModelParams(lambda_over_a=0.5, qa=10.0, alpha=1.5, beta=0.5),
+    "qa1_alpha0": ModelParams(lambda_over_a=0.3, qa=1.0, alpha=0.0, beta=1.0),
+}
+
+
+def map_digest(kernel: str, n_rho: int, n_theta: int) -> str:
+    """sha256 of a map kernel's arrays on grid axes, over MAP_PARAMS and two taus."""
+    digest = hashlib.sha256()
+    for params in MAP_PARAMS.values():
+        g = PolarGrid(rho_max=params.qa + 6.0, n_rho=n_rho, n_theta=n_theta)
+        for tau in (0.0, 123.4):
+            for a in MAP_KERNELS[kernel](*np.ix_(g.rho, g.theta), tau, params):
+                digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+# map_digest of every map kernel, recorded before the kernels summed their
+# series in row blocks.  Both grids are above numpy's 256 KiB temporary-
+# elision threshold, which the 17x19 grids never reach: the default grid is
+# two blocks (64 + 56 rows) and 131x257 three ragged ones (63 + 63 + 5).
+MAP_SHA256 = {
+    ("spin_density", 120, 256): "7ec2fd80888cdbcceee44371d6cd343d2ad6d2ae1952e8b011b644a656e3ea7f",
+    ("spin_density", 131, 257): "0e8e8e62bb7b18bb105e6d16b6492fcc9fa2e6e930f81260e9ff73fcd3d1a0b5",
+    ("positive_energy_field", 120, 256): "ddc8c0c21a516c1489690423280ed43b066f444bb2e86c6af756a912f3550cdc",
+    ("positive_energy_field", 131, 257): "4090f12ea0dcae899330a36ec408aa010b0459e944df82f95f2349a7dd84fd46",
+    ("jc_spinor", 120, 256): "732b7ac6d8b1a21ef3998c5dd8e3b92f15b93e974cbf9fbf57adee19455775b9",
+    ("jc_spinor", 131, 257): "ef7d3797c16ec3a079d887040f084b9bd1aaecb31e1ba47892b9b7c24d28863a",
+    ("classical_field", 120, 256): "a74c430ec359791e3664dea4d1e67cae6693d00fa7458e0ebe11cdd968f25176",
+    ("classical_field", 131, 257): "9624a5b837497a543cdb07b714d6fd473898bed61b95db9a22d890d1d4bc73ba",
+    ("fractional_1_3", 120, 256): "ffc45c9cafa72afad8ed58414e26f6a2354ec88aac8482c762ff9e87ad82316c",
+    ("fractional_1_3", 131, 257): "abef6e5ab556be5081dfb59b506f8abd5d581a769cfd9608f891476e39f6de81",
+    ("mode_sum_taylor2", 120, 256): "2002814262dd0fb492ab0a23cef1ae5d7350f406b6cf05575a5795192f9ab792",
+    ("mode_sum_taylor2", 131, 257): "96d0602299a0bfad231294c631814b52814aa68688fd7f90070cfe61120fd32e",
+}
+
+
 class TestAxisInput:
-    @pytest.mark.parametrize(
-        "params",
-        [
-            ModelParams(lambda_over_a=0.1, qa=5.0),
-            ModelParams(lambda_over_a=0.5, qa=10.0, alpha=1.5, beta=0.5),
-            ModelParams(lambda_over_a=0.3, qa=1.0, alpha=0.0, beta=1.0),
-        ],
-        ids=["set1", "set2_alpha_ne_beta", "qa1_alpha0"],
-    )
+    @pytest.mark.parametrize("params", list(MAP_PARAMS.values()), ids=list(MAP_PARAMS))
     @pytest.mark.parametrize("tau", [0.0, 123.4])
     @pytest.mark.parametrize("kernel", MAP_KERNELS)
     def test_axes_give_the_bits_of_the_mesh(self, kernel, params, tau):
         # odd sizes leave SIMD remainders on both axes; rho[0] = 0 is the
-        # branch point of the level powers
-        g = PolarGrid(rho_max=params.qa + 6.0, n_rho=17, n_theta=19)
-        got = MAP_KERNELS[kernel](*np.ix_(g.rho, g.theta), tau, params)
-        want = MAP_KERNELS[kernel](*g.mesh(), tau, params)
-        for a, b in zip(got, want, strict=True):
-            assert a.shape == b.shape
-            assert a.shape[-2:] == (g.n_rho, g.n_theta)
-            assert a.tobytes() == b.tobytes()
+        # branch point of the level powers; 131x257 is three row blocks
+        for n_rho, n_theta in ((17, 19), (131, 257)):
+            g = PolarGrid(rho_max=params.qa + 6.0, n_rho=n_rho, n_theta=n_theta)
+            got = MAP_KERNELS[kernel](*np.ix_(g.rho, g.theta), tau, params)
+            want = MAP_KERNELS[kernel](*g.mesh(), tau, params)
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape
+                assert a.shape[-2:] == (g.n_rho, g.n_theta)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n_rho, n_theta", [(120, 256), (131, 257)])
+    @pytest.mark.parametrize("kernel", MAP_KERNELS)
+    def test_bytes_above_the_elision_threshold(self, kernel, n_rho, n_theta):
+        assert map_digest(kernel, n_rho, n_theta) == MAP_SHA256[kernel, n_rho, n_theta]

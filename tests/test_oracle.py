@@ -370,6 +370,13 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="norm"):
             quadrature_expectation("velocity_x", f, set1)
 
+    @pytest.mark.parametrize("kind", ["norm", "sigma_z"])
+    def test_refuses_nan_field(self, set1, kind):
+        grid = PolarGrid(rho_max=2.0, n_rho=10, n_theta=8)
+        f = OracleField(grid=grid, samples=np.full((4, 10, 8), np.nan, dtype=complex))
+        with pytest.raises(ValueError, match="field norm nan"):
+            quadrature_expectation(kind, f, set1)
+
 
 class TestHermiteFunctions:
     def test_orthonormality(self):
