@@ -13,7 +13,6 @@ from .basis import (
     TruncationWindow,
     build_mode_set,
     coherent_coefficient,
-    kahan_sum,
     levels,
     q_kernel,
     q_kernel_stack,

@@ -86,17 +86,6 @@ def row_blocks(shape: tuple[int, ...], *arrays, points: int | None = None):
         yield block, [a[block] if a.ndim == len(shape) and a.shape[0] != 1 else a for a in arrays]
 
 
-def kahan_sum(terms):
-    """Compensated sum of an iterable of scalars/arrays, in iteration order."""
-    it = iter(terms)
-    first = next(it)
-    acc = KahanAccumulator(np.asarray(first, dtype=np.result_type(first, 0.0)))
-    acc.add(first)
-    for t in it:
-        acc.add(t)
-    return acc.total
-
-
 def float_kahan_sum(terms) -> float:
     """Compensated sum of Python floats, in iteration order.
 
@@ -147,14 +136,11 @@ def q_kernel(k: int, x, y, params: ModelParams):
     u = (y - qa) - 1j * x
     expo = (2j * x * (y + qa) - x**2 - (y - qa) ** 2) / 4.0
     log_norm = -0.5 * ((k + 1) * math.log(2.0) + math.lgamma(k + 1) + math.log(math.pi))
-    # u^k in log-magnitude + phase form to keep large k stable; u=0 -> 0^k.
+    # u^k in log-magnitude + phase form to keep large k stable; u = 0 gives
+    # 0^k via log 0 = -inf, with k = 0 apart as 0 * log 0 is NaN
     r = np.abs(u)
-    if k == 0:
-        mag = np.exp(log_norm) * np.ones_like(r)
-    else:
-        mag = np.where(
-            r > 0, np.exp(k * np.log(np.where(r > 0, r, 1.0)) + log_norm), 0.0
-        )
+    with np.errstate(divide="ignore"):
+        mag = np.exp(k * np.log(r) + log_norm) if k else np.exp(log_norm) * np.ones_like(r)
     out = mag * np.exp(1j * k * np.angle(u)) * np.exp(expo)
     return out if out.ndim else complex(out)
 
@@ -190,13 +176,6 @@ class TruncationWindow:
 
     n_min: int
     n_max: int
-
-    def __contains__(self, n: int) -> bool:
-        return self.n_min <= n <= self.n_max
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_max + 1)
 
 
 def _log_weight_sq(k: int, qa: float) -> float:
@@ -311,7 +290,7 @@ class ModeSet:
         return max(idx.n for idx, _ in self.entries)
 
     def norm_sq(self) -> float:
-        return float(kahan_sum([abs(a) ** 2 for _, a in self.entries]))
+        return float_kahan_sum(abs(a) ** 2 for _, a in self.entries)
 
 
 MODE_SET_KINDS = ("positive_only", "two_band", "cat_plus", "cat_minus")

@@ -11,12 +11,11 @@ byte-identical across thread counts.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import datetime
 import math
 import re
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,13 +223,6 @@ def _write_table(
         prefixes = [p + c for p in prefixes for c in outer]
     template = "".join([p + p.join(rows) for p in prefixes])
     _write_artifact(path, header, columns, template % tuple(table.ravel().tolist()), timestamp)
-
-
-def _now(func, *args) -> Future:
-    """Run func on this thread: the one-thread stand-in for ``pool.submit``."""
-    future: Future = Future()
-    future.set_result(func(*args))
-    return future
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -445,6 +437,7 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
 
     Returns (rows, all_ok); each row is (check, max_abs_deviation, threshold,
     status).  All comparisons are deterministic (fixed seed, ordered sums).
+    The oracle sweeps run on a pool of ``threads`` workers (ValueError below 1).
     """
     rng = np.random.default_rng(VALIDATE_SEED)
     n_field_times = 2 if quick else 5
@@ -483,44 +476,36 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     taus1, taus2 = (rng.uniform(0.0, 0.5 * sc.T_R, n_obs_times).tolist() for sc in (sc1, sc2))
     cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R][: 2 if quick else 4]
 
-    # Every slice of every sweep is submitted before any result is read, so
-    # the kernel-quadrature check overlaps the pool work.  Each task is
-    # deterministic, so the rows do not depend on the schedule.
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext()
-    with pool as ex:
-        submit = _now if ex is None else ex.submit
+    def task(grid, modes, params, part, values) -> list[tuple]:
+        """Per tau of the slice ``part``, one tuple from ``values(fields, part)``;
+        ``fields`` yields the oracle fields in tau order, each (with the
+        conjugate its quadratures cache) dropped once the next is read."""
+        fields = sample_mode_sum(grid, part, modes, params)
+        return values((fields.pop(0) for _ in part), part)
 
-        def task(grid, modes, params, part, values) -> list[tuple]:
-            """The oracle fields at the slice's taus ``part``, and per tau one
-            tuple from ``values(fields, part)``.  ``fields`` yields them in
-            tau order, each (with the conjugate its quadratures cache) dropped
-            once the next is read, and the last when the task returns."""
-            fields = sample_mode_sum(grid, part, modes, params)
-            return values((fields.pop(0) for _ in part), part)
-
-        def sweep(grid, modes, params, taus, values) -> list[Future]:
-            """One task per slice of at most _SLICE_TAUS taus, in tau order."""
-            return [submit(task, grid, modes, params, taus[start:start + _SLICE_TAUS], values)
-                    for start in range(0, len(taus), _SLICE_TAUS)]
-
-        # closed-form observables vs grid quadrature: one oracle field per tau
-        # serves every observable of the packet; the largest sweep's slices
-        # go first
-        quad_jc = sweep(quad_grid2, mode_jc, SET2, taus2, quadrature_devs(
+    # (grid, mode set, params, taus, per-tau values) of each oracle sweep, the
+    # largest first: observables vs grid quadrature (one oracle field per tau
+    # serves every observable of the packet), fields vs mode sums, and the
+    # conservation of the positive packet's norm and <sigma_z>
+    sweeps = [
+        (quad_grid2, mode_jc, SET2, taus2, quadrature_devs(
             SET2, (mean_velocity_jc, ("velocity_x", "velocity_y")),
-            (lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",))))
-        quad_pos = sweep(quad_grid1, mode_pos, SET1, taus1, quadrature_devs(
+            (lambda t, p: (mean_spin_z_jc(t, p),), ("sigma_z",)))),
+        (quad_grid1, mode_pos, SET1, taus1, quadrature_devs(
             SET1, (mean_velocity_positive, ("velocity_x", "velocity_y")),
-            (mean_spin_transverse, ("sigma_x", "sigma_y"))))
-
-        # closed-form fields vs mode sums
-        field_pos = sweep(field_grid1, mode_pos, SET1, field_times1,
-                          field_dev(positive_energy_field, SET1))
-        field_jc = sweep(field_grid2, mode_jc, SET2, field_times2, field_dev(jc_spinor, SET2))
-
-        # conservation: the norm and <sigma_z> of the positive packet
-        cons = sweep(quad_grid1, mode_pos, SET1, cons_times, lambda fields, _: [
-            (f.norm(), quadrature_expectation("sigma_z", f, SET1)) for f in fields])
+            (mean_spin_transverse, ("sigma_x", "sigma_y")))),
+        (field_grid1, mode_pos, SET1, field_times1, field_dev(positive_energy_field, SET1)),
+        (field_grid2, mode_jc, SET2, field_times2, field_dev(jc_spinor, SET2)),
+        (quad_grid1, mode_pos, SET1, cons_times, lambda fields, _: [
+            (f.norm, quadrature_expectation("sigma_z", f, SET1)) for f in fields]),
+    ]
+    # One task per slice, in sweep and tau order, all submitted before any
+    # result is read, so the kernel check overlaps the pool work.  Each task
+    # is deterministic, so the rows do not depend on the schedule.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [[pool.submit(task, grid, modes, params, taus[start:start + _SLICE_TAUS], values)
+                    for start in range(0, len(taus), _SLICE_TAUS)]
+                   for grid, modes, params, taus, values in sweeps]
 
         # numeric p-integral vs closed-form kernel, on this thread
         pts = [(0.0, SET1.qa), (1.0, SET1.qa), (-2.0, SET1.qa + 1.0), (0.5, SET1.qa - 2.0),
@@ -530,9 +515,9 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
                          for k in range(6) for x, y in pts)
 
         # per sweep, one tuple of per-tau values for each deviation column
-        (fp,), (fj,), (vp, sp), (vj, sj), (norms, sz) = (
-            tuple(zip(*(row for future in futures for row in future.result()), strict=True))
-            for futures in (field_pos, field_jc, quad_pos, quad_jc, cons)
+        (vj, sj), (vp, sp), (fp,), (fj,), (norms, sz) = (
+            tuple(zip(*(row for future in sweep for row in future.result()), strict=True))
+            for sweep in futures
         )
 
     table = [

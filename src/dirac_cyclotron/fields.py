@@ -43,12 +43,9 @@ class PolarGrid:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.rho, self.theta, indexing="ij")
 
+    @functools.cached_property
     def weights(self) -> np.ndarray:
         """The quadrature weights, built once per grid and read-only."""
-        return self._weights
-
-    @functools.cached_property
-    def _weights(self) -> np.ndarray:
         d_rho = self.rho_max / (self.n_rho - 1)
         w_rho = np.full(self.n_rho, d_rho)
         w_rho[0] = w_rho[-1] = 0.5 * d_rho
@@ -58,7 +55,7 @@ class PolarGrid:
         return out
 
     def integrate(self, values) -> np.ndarray | float | complex:
-        out = np.einsum("...ij,ij->...", np.asarray(values), self.weights())
+        out = np.einsum("...ij,ij->...", np.asarray(values), self.weights)
         return out if np.ndim(out) else out.item()
 
 
@@ -94,14 +91,12 @@ def coherent_ground_state(rho, theta, params: ModelParams):
 
 
 def _scaled_power(w: np.ndarray, j: int) -> np.ndarray:
-    """w^j / j! elementwise, via log magnitudes (j may be large)."""
+    """w^j / j! elementwise as an ndarray, via log magnitudes (j may be large)."""
     if j <= 0:
         return np.ones_like(w)
-    mag = np.abs(w)
     with np.errstate(divide="ignore"):
-        log_mag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    out = np.exp(j * log_mag - math.lgamma(j + 1)) * np.exp(1j * j * np.angle(w))
-    return np.where(mag > 0, out, 0.0)
+        log_mag = np.log(np.abs(w))
+    return np.asarray(np.exp(j * log_mag - math.lgamma(j + 1)) * np.exp(1j * j * np.angle(w)))
 
 
 def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:

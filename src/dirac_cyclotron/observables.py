@@ -137,10 +137,9 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
     x = -0.5 * qa * rho  # real, <= 0
     e_pth = np.exp(1j * theta)
 
-    # x^m / m! elementwise via logs (x <= 0); mag and lg do not depend on m
-    mag = np.abs(x)
+    # x^m / m! elementwise via logs (x <= 0; log 0 = -inf); lg does not depend on m
     with np.errstate(divide="ignore"):
-        lg = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
+        lg = np.log(np.abs(x))
 
     # One ascending pass builds each level's base term once and feeds it to
     # every sum whose window holds m, so each sum still sees its own terms in
@@ -160,16 +159,13 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
         series.append((m, terms))
     shape = np.broadcast_shapes(rho.shape, theta.shape)
     totals = np.empty((4,) + shape, dtype=complex)
-    for block, (mag_b, lg_b, e_b) in row_blocks(shape, mag, lg, e_pth):
+    for block, (lg_b, e_b) in row_blocks(shape, lg, e_pth):
         base = np.empty_like(totals[0, block])
         term = np.empty_like(base)
         sums = [KahanAccumulator(term, _scratch=term) for _ in range(4)]
         for m, terms in series:
-            if m == 0:
-                pw = np.ones_like(lg_b)
-            else:
-                out = np.exp(m * lg_b - math.lgamma(m + 1))
-                pw = np.where(mag_b > 0, ((-1.0) ** m) * out, 0.0)
+            # m = 0 apart: 0 * log 0 is NaN
+            pw = ((-1.0) ** m) * np.exp(m * lg_b - math.lgamma(m + 1)) if m else np.ones_like(lg_b)
             np.multiply(pw, e_b**m, out=base)
             for i, f, ph in terms:
                 sums[i].add(np.multiply(np.multiply(base, f, out=term), ph, out=term))

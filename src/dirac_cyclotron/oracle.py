@@ -126,8 +126,9 @@ class OracleField:
     grid: PolarGrid
     samples: np.ndarray  # shape (4, n_rho, n_theta)
 
+    @functools.cached_property
     def norm(self) -> float:
-        return self._norm
+        return float(self.grid.integrate(np.abs(self.samples) ** 2).sum())
 
     @functools.cached_property
     def conj_samples(self) -> np.ndarray:
@@ -135,10 +136,6 @@ class OracleField:
         conj = self.samples.conj()
         conj.flags.writeable = False
         return conj
-
-    @functools.cached_property
-    def _norm(self) -> float:
-        return float(self.grid.integrate(np.abs(self.samples) ** 2).sum())
 
 
 def sample_mode_sum(
@@ -173,7 +170,7 @@ def quadrature_expectation(kind: str, field: OracleField, params: ModelParams) -
     positions in a.  Refuses if the grid has visibly leaked norm.
     """
     psi = field.samples
-    norm = field.norm()
+    norm = field.norm
     if not abs(norm - 1.0) <= 1e-3:  # a NaN norm fails this too
         raise ValueError(f"field norm {norm:.6f} deviates too far from 1 (grid too small?)")
     if kind == "norm":

@@ -247,7 +247,7 @@ def test_criterion_09_revival_structure():
     # fractional revival at T_R/4: exactly two angular lobes 180 deg apart
     psi = mode_sum_field(rr, tt, 0.25 * t_r_int, ms, params, "taylor2_integer")
     dens = np.sum(np.abs(psi) ** 2, axis=0)
-    ang = (dens * grid.weights()).sum(axis=0)
+    ang = (dens * grid.weights).sum(axis=0)
     lobes = np.where(
         (ang > np.roll(ang, 1)) & (ang > np.roll(ang, -1)) & (ang > 0.5 * ang.max())
     )[0]

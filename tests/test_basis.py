@@ -20,7 +20,6 @@ from dirac_cyclotron import (
     branch_coefficients,
     build_mode_set,
     coherent_coefficient,
-    kahan_sum,
     levels,
     phi,
     q_kernel,
@@ -127,16 +126,7 @@ class TestTruncationWindow:
     def test_window_contains_weight_peak(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)
         win = truncation_window(p)
-        assert int(0.5 * p.qa**2) + 1 in win
-
-    def test_membership_and_indices(self):
-        p = ModelParams(lambda_over_a=0.1, qa=5.0)
-        win = truncation_window(p)
-        assert win.n_min in win and win.n_max in win
-        assert win.n_min - 1 not in win
-        np.testing.assert_array_equal(
-            win.indices, np.arange(win.n_min, win.n_max + 1)
-        )
+        assert win.n_min <= int(0.5 * p.qa**2) + 1 <= win.n_max
 
     def test_window_shared_by_packets_differing_in_weights(self):
         a = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=1.0, beta=1.0)
@@ -275,17 +265,19 @@ class TestKahanSum:
     def test_small_terms_on_large_base(self):
         # a naive sum loses all the unit terms against the 1e16 base
         terms = [1e16] + [1.0] * 1000 + [-1e16]
-        assert kahan_sum(terms) == math.fsum(terms) == 1000.0
+        assert float_kahan_sum(terms) == math.fsum(terms) == 1000.0
         assert sum(terms) != 1000.0
 
     def test_accumulated_rounding(self):
         terms = [0.1] * 10000
-        assert kahan_sum(terms) == math.fsum(terms)
+        assert float_kahan_sum(terms) == math.fsum(terms)
 
     def test_array_terms(self):
-        terms = [np.array([0.1, 0.3])] * 10000
+        acc = KahanAccumulator(np.zeros(2))
+        for x in [np.array([0.1, 0.3])] * 10000:
+            acc.add(x)
         expected = [math.fsum([0.1] * 10000), math.fsum([0.3] * 10000)]
-        np.testing.assert_allclose(kahan_sum(terms), expected, rtol=0, atol=0)
+        np.testing.assert_allclose(acc.total, expected, rtol=0, atol=0)
 
 
 def _kahan_reference(terms, like):
@@ -332,18 +324,19 @@ class TestKahanAccumulator:
         for x in terms:
             acc.add(x)
         assert acc.total.tobytes() == _kahan_reference(terms, np.zeros(3)).tobytes()
-        assert kahan_sum(terms).tobytes() == acc.total.tobytes()
 
     def test_terms_are_left_unchanged(self):
         terms = self._ill_conditioned_terms((4,))
         copies = [t.copy() for t in terms]
-        kahan_sum(terms)
+        acc = KahanAccumulator(terms[0])
+        for x in terms:
+            acc.add(x)
         assert all(np.array_equal(t, c) for t, c in zip(terms, copies, strict=True))
 
     def test_scalar_sums_keep_values_and_types(self, set2):
         floats = [0.1] * 1000 + [1e16, 1.0, -1e16]
-        total = kahan_sum(floats)
-        assert type(total) is np.float64
+        total = float_kahan_sum(floats)
+        assert type(total) is float
         assert total == _kahan_reference(floats, np.float64(0.0))
         acc = KahanAccumulator(0.0)
         for x in floats:

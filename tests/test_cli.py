@@ -562,7 +562,8 @@ class TestValidation:
         digest = hashlib.sha256((tmp_path / "validate.csv").read_bytes()).hexdigest()
         assert digest == QUICK_VALIDATE_SHA256
 
-    @pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1), (3, 1)])
+    # one thread runs the tasks on a one-worker pool too: one code path
+    @pytest.mark.parametrize("threads, pools", [(1, 1), (2, 1), (3, 1)])
     def test_one_pool_for_the_whole_report(self, monkeypatch, threads, pools):
         made = []
 
@@ -575,6 +576,10 @@ class TestValidation:
         assert ok
         assert len(made) == pools
         assert all(kw == {"max_workers": threads} for kw in made)
+
+    def test_no_thread_is_a_pool_error(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            validation_report(quick=True, threads=0)
 
     @pytest.mark.parametrize("quick, tasks", [(True, 5), (False, 7)])
     def test_one_pool_task_per_slice(self, monkeypatch, quick, tasks):
@@ -601,7 +606,7 @@ class TestValidation:
         monkeypatch.setattr(cli, "sample_mode_sum", recording_sample)
         rows, ok = validation_report()
         assert ok
-        # on one thread the tasks run in the order they are submitted: the
+        # on one worker the tasks run in the order they are submitted: the
         # two SET2 slices on the 120x256 quadrature grid first
         assert calls[:2] == [(cli.SET2, 120 * 256, 5)] * 2
         assert (cli.SET2, 120 * 256, 5) not in calls[2:]

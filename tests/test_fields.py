@@ -28,6 +28,7 @@ from dirac_cyclotron import (
     normalized_fidelity,
     polar_to_xy,
     positive_energy_field,
+    q_kernel,
     spin_density,
 )
 from dirac_cyclotron.fields import envelope_prefactor
@@ -289,3 +290,40 @@ class TestAxisInput:
     @pytest.mark.parametrize("kernel", MAP_KERNELS)
     def test_bytes_above_the_elision_threshold(self, kernel, n_rho, n_theta):
         assert map_digest(kernel, n_rho, n_theta) == MAP_SHA256[kernel, n_rho, n_theta]
+
+
+# point_digest() as recorded before the level powers dropped their zero guards
+POINT_SHA256 = "2e3b440049e02d6d3e2a295b325dfe304f5d088cad98db444f1bfb499620665c"
+
+
+def point_digest() -> str:
+    """sha256 of the level-power kernels called point by point (0-d inputs)
+    and on one 1-D axis of the same points, over MAP_PARAMS and two taus.
+
+    rho = 0 is the branch point of every level power: w = x = u = 0 there.
+    """
+    digest = hashlib.sha256()
+    for params in MAP_PARAMS.values():
+        rho = np.repeat([0.0, 0.5, params.qa, params.qa + 6.0], 3)
+        theta = np.tile([0.0, 0.3, math.pi], 4)
+        calls = [lambda r, t, k=k: (q_kernel(k, *polar_to_xy(r, t, params), params),)
+                 for k in range(6)]
+        for tau in (7.0, 123.4):
+            calls += [
+                lambda r, t, tau=tau: (positive_energy_field(r, t, tau, params),),
+                lambda r, t, tau=tau: (jc_spinor(r, t, tau, params),),
+                lambda r, t, tau=tau: spin_density(r, t, tau, params),
+            ]
+        for call in calls:
+            points = [call(r, t) for r, t in zip(rho.tolist(), theta.tolist())]
+            for a in (*(a for p in points for a in p), *call(rho, theta)):
+                digest.update(np.asarray(a).tobytes())
+    return digest.hexdigest()
+
+
+class TestPointInput:
+    @pytest.mark.filterwarnings("error")
+    def test_points_and_axis_bytes_pinned(self):
+        # set2_alpha_ne_beta's window starts at n_min = 10, so its 0-d calls
+        # seed the level-power recurrences with 0-d powers w^j/j!, j >= 1
+        assert point_digest() == POINT_SHA256

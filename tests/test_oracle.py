@@ -281,22 +281,22 @@ class TestUnitarityAndFidelity:
         sc = derived_scales(set1)
         for tau in (0.0, sc.T_D, 0.5 * sc.T_R):
             f = sample_mode_sum(grid1, tau, ms, set1)
-            assert f.norm() == pytest.approx(1.0, abs=1e-7)
+            assert f.norm == pytest.approx(1.0, abs=1e-7)
 
     def test_norm_and_weights_built_once(self, set1, grid1):
         ms = build_mode_set("positive_only", set1)
         f = sample_mode_sum(grid1, 0.0, ms, set1)
-        direct = float(np.einsum("kij,ij->", np.abs(f.samples) ** 2, grid1.weights()))
-        assert f.norm() == pytest.approx(direct, rel=1e-14)
-        assert f.norm() is f.norm()
-        assert grid1.weights() is grid1.weights()
-        assert not grid1.weights().flags.writeable
+        direct = float(np.einsum("kij,ij->", np.abs(f.samples) ** 2, grid1.weights))
+        assert f.norm == pytest.approx(direct, rel=1e-14)
+        assert f.norm is f.norm
+        assert grid1.weights is grid1.weights
+        assert not grid1.weights.flags.writeable
         assert not f.samples.flags.writeable
 
     def test_self_fidelity(self, set1, grid1):
         ms = build_mode_set("positive_only", set1)
         f = sample_mode_sum(grid1, 11.0, ms, set1)
-        assert fidelity(f.samples, f.samples, grid1) == pytest.approx(f.norm(), rel=1e-12)
+        assert fidelity(f.samples, f.samples, grid1) == pytest.approx(f.norm, rel=1e-12)
         assert normalized_fidelity(f.samples, f.samples, grid1) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("blank", ["field_a", "field_b"])
