@@ -64,11 +64,9 @@ from .spectrum import (
     ModelParams,
     branch_coefficients,
     derived_scales,
-    energy,
     fractional_revival_count,
     phi,
     phi_taylor2,
-    taylor,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ of several hundred stay exact to double round-off.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -185,15 +186,33 @@ def _log_weight_sq(k: int, qa: float) -> float:
     return -lam + j * math.log(lam) - math.lgamma(j + 1)
 
 
+def _pair_log_weight(n: int, qa: float) -> float:
+    """log(sqrt(2(n+1)) c_{n+1} c_{n+2}) = log(qa^(2n+1) e^(-qa^2/2) / (2^n n!))."""
+    return -0.5 * qa**2 + (2 * n + 1) * math.log(qa) - n * math.log(2.0) - math.lgamma(n + 1)
+
+
+def _dropped_mass(lo: int, hi: int, qa: float) -> float:
+    """Coherent mass outside [lo, hi], summed outwards from the dropped weights
+    until they underflow (they fall off monotonically away from the peak).
+    Each is small, so the sum keeps the digits (about 4e-14) that
+    ``1 - covered`` loses to the rounding of the large weights."""
+    def outwards(ks):
+        return itertools.takewhile(lambda w: w > 0.0, (math.exp(_log_weight_sq(k, qa)) for k in ks))
+
+    return math.fsum(itertools.chain(outwards(range(lo - 1, 0, -1)), outwards(itertools.count(hi + 1))))
+
+
 def truncation_window(params: ModelParams) -> TruncationWindow:
     """Smallest window of coherent indices whose dropped tail mass < trunc_tol.
 
     Grown greedily outwards from the weight peak, always absorbing the
     boundary with the larger mass (the Poisson weights are right-skewed, so
-    the window comes out asymmetric around n0 + 1).  The window depends only
-    on (qa, trunc_tol) and is cached on those, so packets that differ only
-    in alpha/beta or lambda_over_a share one instance.  A qa above
-    ``QA_MAX`` raises ``ValueError``.
+    the window comes out asymmetric around n0 + 1), until both the running
+    ``1 - covered`` and the dropped mass summed afresh from the dropped
+    weights fall below trunc_tol.  The window depends only on (qa,
+    trunc_tol) and is cached on those, so packets that differ only in
+    alpha/beta or lambda_over_a share one instance.  A qa above ``QA_MAX``
+    raises ``ValueError``.
     """
     return _window(params.qa, params.trunc_tol)
 
@@ -212,7 +231,7 @@ def _window(qa: float, trunc_tol: float) -> TruncationWindow:
     peak = max(1, int(math.floor(lam)) + 1)
     lo = hi = peak
     covered = math.exp(_log_weight_sq(peak, qa))
-    while 1.0 - covered >= trunc_tol:
+    while 1.0 - covered >= trunc_tol or _dropped_mass(lo, hi, qa) >= trunc_tol:
         w_lo = math.exp(_log_weight_sq(lo - 1, qa)) if lo > 1 else -1.0
         w_hi = math.exp(_log_weight_sq(hi + 1, qa))
         if w_hi == 0.0 and w_lo <= 0.0:
@@ -235,9 +254,14 @@ class LevelTable:
 
     ``phi``, ``d`` and ``b`` are read-only vectors of phi_n and the branch
     factors (d_n, b_n) over n = 0 .. n_max + 1; the level above the window
-    serves the series that couple neighbouring levels.  ``c[k]`` is the
-    coherent weight c_k for k = 1 .. n_max + 1 (``c[0]`` is 0.0, as the
-    weights are 1-indexed), each from the scalar ``coherent_coefficient``.
+    serves the series that couple neighbouring levels.  The coherent weights
+    are evaluated here and nowhere else, once per table, as tuples of Python
+    floats: ``c[k]`` is c_k (k = 1 .. n_max + 1, ``coherent_coefficient``),
+    ``c2[k]`` is c_k^2 (k = 1 .. n_max, exp of the Poisson log-pmf that the
+    window search sums) and ``pair[n]`` is sqrt(2(n+1)) c_{n+1} c_{n+2}
+    (n = 0 .. n_max - 1); ``c[0]`` and ``c2[0]`` are 0.0, as the weights are
+    1-indexed.  Three log-space formulas give them, so they differ in the
+    last bits until one formula serves all three.
     """
 
     window: TruncationWindow
@@ -245,6 +269,8 @@ class LevelTable:
     d: np.ndarray
     b: np.ndarray
     c: tuple[float, ...]
+    c2: tuple[float, ...]
+    pair: tuple[float, ...]
 
 
 def levels(params: ModelParams) -> LevelTable:
@@ -265,7 +291,9 @@ def _levels(lambda_over_a: float, qa: float, trunc_tol: float) -> LevelTable:
     for a in (p, d, b):
         a.flags.writeable = False
     c = (0.0,) + tuple(coherent_coefficient(k, qa) for k in range(1, win.n_max + 2))
-    return LevelTable(win, p, d, b, c)
+    c2 = (0.0,) + tuple(math.exp(_log_weight_sq(k, qa)) for k in range(1, win.n_max + 1))
+    pair = tuple(math.exp(_pair_log_weight(n, qa)) for n in range(win.n_max))
+    return LevelTable(win, p, d, b, c, c2, pair)
 
 
 @dataclass(frozen=True)
@@ -280,10 +308,6 @@ class ModeSet:
 
     kind: str
     entries: tuple[tuple[ModeIndex, complex], ...]
-
-    @property
-    def n_min(self) -> int:
-        return min(idx.n for idx, _ in self.entries)
 
     @property
     def n_max(self) -> int:

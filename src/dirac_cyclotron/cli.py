@@ -59,8 +59,6 @@ _FLOAT = "%.17g"
 
 def fmt(x) -> str:
     """Canonical float formatting: 17 significant digits, '.' separator."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return _FLOAT % float(x)
 
 
@@ -214,7 +212,7 @@ def _write_table(
     # One template holds every row, and one '%' fills it.  Each prefix of
     # the outer axes joins the rows of the last axis, so the Python work is
     # per axis value, not per row.  Formatted finite numbers hold no '%',
-    # and _FLOAT % x has the bytes of fmt(x) for every float and small int.
+    # and _FLOAT % x has the bytes of fmt(x).
     cells = [[_FLOAT % a + "," for a in axis.tolist()] for axis in axes]
     row = ",".join([_FLOAT] * len(values)) + "\n"
     rows = [c + row for c in cells[-1]] if cells else [row]

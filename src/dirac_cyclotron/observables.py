@@ -13,14 +13,9 @@ import math
 
 import numpy as np
 
-from .basis import KahanAccumulator, _log_weight_sq, float_kahan_sum, levels, row_blocks
+from .basis import KahanAccumulator, float_kahan_sum, levels, row_blocks
 from .fields import PolarGrid
-from .spectrum import ModelParams, taylor, taylor_at
-
-
-def _pair_log_weight(n: int, qa: float) -> float:
-    """log(sqrt(2(n+1)) c_{n+1} c_{n+2}) = log(qa^(2n+1) e^(-qa^2/2) / (2^n n!))."""
-    return -0.5 * qa**2 + (2 * n + 1) * math.log(qa) - n * math.log(2.0) - math.lgamma(n + 1)
+from .spectrum import ModelParams, derived_scales, taylor_at
 
 
 def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -31,16 +26,13 @@ def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.nda
     classical rotation, the collapse and the revivals.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    qa = params.qa
     table = levels(params)
-    win, p = table.window, table.phi
+    win, p, pair = table.window, table.phi, table.pair
     a2 = params.alpha**2
     b2 = params.beta**2
     acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
     for n in range(win.n_min - 1, win.n_max - 1):
-        w = math.exp(_pair_log_weight(n, qa)) * math.sqrt(
-            (p[n + 1] - 1.0) / (2.0 * (n + 1) * p[n + 1])
-        )
+        w = pair[n] * math.sqrt((p[n + 1] - 1.0) / (2.0 * (n + 1) * p[n + 1]))
         term = np.zeros(tau.shape, dtype=complex)
         if a2 != 0.0:
             term = term + (
@@ -74,7 +66,7 @@ def mean_velocity_nonrel(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarr
 def collapse_envelope(tau, params: ModelParams) -> np.ndarray:
     """Gaussian-weight dephasing envelope |exp(-(qa sin(phi'' tau/2))^2) cos(phi'' tau/2)|."""
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    _, _, _, ddp = taylor(params)
+    ddp = derived_scales(params).ddphi
     half = 0.5 * ddp * tau
     return np.exp(-((params.qa * np.sin(half)) ** 2)) * np.abs(np.cos(half))
 
@@ -88,7 +80,8 @@ def mean_velocity_envelope(tau, params: ModelParams) -> tuple[np.ndarray, np.nda
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     qa = params.qa
-    _, _, dp, ddp = taylor(params)
+    scales = derived_scales(params)
+    dp, ddp = scales.dphi, scales.ddphi
     half = 0.5 * ddp * tau
     amp = qa * params.lambda_over_a * np.exp(-((qa * np.sin(half)) ** 2)) * np.cos(half)
     phase = dp * tau - ddp * (0.5 * qa**2 - 1.0) * tau + 0.5 * qa**2 * np.sin(ddp * tau)
@@ -103,17 +96,14 @@ def mean_spin_transverse(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     because they couple different neighbouring-level pairs.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    qa = params.qa
     table = levels(params)
-    win, p = table.window, table.phi
+    win, p, c2 = table.window, table.phi, table.c2
     acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
     for m in range(win.n_min - 1, win.n_max):
-        w = math.exp(_log_weight_sq(m + 1, qa)) * math.sqrt(
-            (p[m] + 1.0) * (p[m + 1] + 1.0) / (p[m] * p[m + 1])
-        )
+        w = c2[m + 1] * math.sqrt((p[m] + 1.0) * (p[m + 1] + 1.0) / (p[m] * p[m + 1]))
         acc.add(w * np.exp(1j * (p[m + 1] - p[m]) * tau))
     for m in range(win.n_min, win.n_max - 1):
-        w = math.exp(_log_weight_sq(m + 1, qa)) * math.sqrt(
+        w = c2[m + 1] * math.sqrt(
             m * (p[m] - 1.0) * (p[m + 1] - 1.0) / ((m + 1) * p[m] * p[m + 1])
         )
         acc.add(w * np.exp(1j * (p[m + 1] - p[m]) * tau))
@@ -226,14 +216,13 @@ def mean_velocity_jc(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     phi_{n+1} + phi_n (trembling motion near 2 phi_{n0}).
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    qa = params.qa
     la = params.lambda_over_a
     table = levels(params)
-    win, p = table.window, table.phi
+    win, p, pair = table.window, table.phi, table.pair
     acc_x = KahanAccumulator(np.zeros(tau.shape))
     acc_y = KahanAccumulator(np.zeros(tau.shape))
     for n in range(win.n_min, win.n_max):
-        w = math.exp(_pair_log_weight(n - 1, qa))
+        w = pair[n - 1]
         diff = (p[n + 1] - p[n]) * tau
         summ = (p[n + 1] + p[n]) * tau
         acc_x.add(w / (p[n] * p[n + 1]) * (np.cos(diff) - np.cos(summ)))

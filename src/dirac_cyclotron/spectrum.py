@@ -133,11 +133,6 @@ def phi(n, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-def energy(idx: ModeIndex, params: ModelParams) -> float:
-    """Signed level energy s * phi_n in units of m c^2."""
-    return idx.s * phi(idx.n, params)
-
-
 def branch_coefficients(n, params: ModelParams):
     """Mixing coefficients (d_n, b_n) of the two spinor branches.
 
@@ -160,21 +155,6 @@ def taylor_at(n_center: float, params: ModelParams) -> tuple[float, float, float
     return p, la2 / p, -(la2**2) / p**3
 
 
-def taylor(params: ModelParams) -> tuple[float, float, float, float]:
-    """Quadratic expansion of phi_n around the real-valued n0.
-
-    Returns (n0_real, phi0, phi', phi''); the real center gives the best
-    quantitative time scales.  Structural revival identities (which need
-    integer index offsets) instead expand around the integer n0 via
-    ``taylor_at(params.n0, ...)``.
-    """
-    if params.qa < 1:
-        raise ValueError("taylor expansion assumes qa >= 1")
-    n0 = params.n0_real
-    p, dp, ddp = taylor_at(n0, params)
-    return n0, p, dp, ddp
-
-
 def phi_taylor2(n, params: ModelParams, n_center: float | None = None):
     """phi_n truncated to the quadratic Taylor expansion.
 
@@ -191,9 +171,17 @@ def phi_taylor2(n, params: ModelParams, n_center: float | None = None):
 
 
 def derived_scales(params: ModelParams) -> DerivedScales:
-    """All characteristic time/frequency scales, evaluated at the real n0."""
+    """All characteristic time/frequency scales, evaluated at the real n0.
+
+    The real center gives the best quantitative time scales; structural
+    revival identities (which need integer index offsets) instead expand
+    around the integer n0 via ``taylor_at(params.n0, ...)``.
+    """
+    if params.qa < 1:
+        raise ValueError("taylor expansion assumes qa >= 1")
+    n0r = params.n0_real
     try:
-        n0r, p0, dp, ddp = taylor(params)
+        p0, dp, ddp = taylor_at(n0r, params)
     except OverflowError:
         # Python float powers raise rather than return inf
         raise ValueError(

@@ -2,6 +2,7 @@
 construction."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -31,6 +32,8 @@ from dirac_cyclotron.basis import (
     _BLOCK_POINTS,
     MODE_SET_KINDS,
     QA_MAX,
+    _log_weight_sq,
+    _pair_log_weight,
     float_kahan_sum,
     q_kernel_walk,
     row_blocks,
@@ -106,6 +109,13 @@ class TestQKernel:
             q_kernel(-1, 0.0, 0.0, p)
 
 
+def dropped_mass(win, qa):
+    """Coherent mass outside the window, summed from the dropped c_n^2 themselves."""
+    below = (coherent_coefficient(n, qa) ** 2 for n in range(1, win.n_min))
+    above = (coherent_coefficient(n, qa) ** 2 for n in itertools.count(win.n_max + 1))
+    return math.fsum(itertools.chain(below, itertools.takewhile(lambda w: w > 0.0, above)))
+
+
 class TestTruncationWindow:
     @given(
         qa=st.floats(min_value=1.5, max_value=15.0),
@@ -122,6 +132,13 @@ class TestTruncationWindow:
         # differently near the threshold
         assert 1.0 - inside < 1.05 * tol
         assert win.n_min >= 1
+
+    @pytest.mark.parametrize("qa", [12.728099596556834, 30.0])
+    def test_dropped_mass_below_tolerance_near_the_threshold(self, qa):
+        # the greedy growth's running 1 - covered reads below tol here while
+        # the dropped mass is 1.0076 and 1.0117 tol
+        win = truncation_window(ModelParams(lambda_over_a=0.1, qa=qa))
+        assert dropped_mass(win, qa) < 1e-12
 
     def test_window_contains_weight_peak(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)
@@ -161,7 +178,8 @@ class TestTruncationWindow:
 
     def test_qa_at_maximum_has_a_window(self):
         win = truncation_window(ModelParams(lambda_over_a=0.1, qa=QA_MAX))
-        assert (win.n_min, win.n_max) == (4520, 5496)
+        assert (win.n_min, win.n_max) == (4505, 5513)
+        assert dropped_mass(win, QA_MAX) < 1e-12
 
 
 # the two validation sets and a packet below one Landau level (n0 = 0)
@@ -185,15 +203,20 @@ class TestLevelTable:
             expected = [phi(n, p), float(d), float(b)]
             got = [float(table.phi[n]), float(table.d[n]), float(table.b[n])]
             assert [x.hex() for x in got] == [x.hex() for x in expected]
+        assert len(table.c2) == n_hi and len(table.pair) == n_hi - 1
         for k in range(1, n_hi + 1):
             assert table.c[k].hex() == coherent_coefficient(k, p.qa).hex()
+        for k in range(1, n_hi):
+            assert table.c2[k].hex() == math.exp(_log_weight_sq(k, p.qa)).hex()
+        for n in range(n_hi - 1):
+            assert table.pair[n].hex() == math.exp(_pair_log_weight(n, p.qa)).hex()
 
     def test_arrays_read_only(self):
         table = levels(LEVEL_SETS["SET1"])
         for a in (table.phi, table.d, table.b):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        assert isinstance(table.c, tuple)
+        assert all(isinstance(w, tuple) for w in (table.c, table.c2, table.pair))
 
     def test_shared_by_packets_differing_in_weights(self):
         a = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=1.0, beta=1.0)

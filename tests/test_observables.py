@@ -28,6 +28,7 @@ from dirac_cyclotron import (
     spin_z_plateau_jc,
     truncation_window,
 )
+from dirac_cyclotron import basis, cli, fields, levels, observables, oracle, spectrum
 from dirac_cyclotron.fields import PolarGrid
 from dirac_cyclotron.spectrum import phi, taylor_at
 
@@ -288,6 +289,34 @@ class TestWholeAxisTraces:
         )
         assert whole.shape == per_tau.shape
         assert np.array_equal(whole, per_tau)
+
+
+class TestWeightOwner:
+    """The level table is the one place that evaluates a coherent weight."""
+
+    def test_traces_evaluate_no_weight(self, set1, set2, monkeypatch):
+        # every module's binding of a weight formula is counted, so a module
+        # that imports one or keeps its own copy is seen too
+        calls = []
+
+        def counted(name, formula):
+            def count(*args):
+                calls.append(name)
+                return formula(*args)
+
+            return count
+
+        for p in (set1, set2):
+            levels(p)
+        for module in (basis, cli, fields, observables, oracle, spectrum):
+            for name in ("_log_weight_sq", "_pair_log_weight", "coherent_coefficient"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        taus = np.linspace(0.0, 200.0, 7)
+        for p in (set1, set2):
+            for trace in (mean_velocity_positive, mean_spin_transverse, mean_velocity_jc, mean_spin_z_jc):
+                trace(taus, p)
+        assert calls == []
 
 
 class TestQuadrupole:

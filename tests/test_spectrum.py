@@ -14,11 +14,9 @@ from dirac_cyclotron import (
     ModelParams,
     branch_coefficients,
     derived_scales,
-    energy,
     fractional_revival_count,
     phi,
     phi_taylor2,
-    taylor,
 )
 from dirac_cyclotron.spectrum import taylor_at
 
@@ -47,12 +45,6 @@ class TestPhi:
         p = ModelParams(lambda_over_a=0.2, qa=5.0)
         with pytest.raises(ValueError):
             phi(-1, p)
-
-    def test_signed_energy(self):
-        p = ModelParams(lambda_over_a=0.2, qa=5.0)
-        e_plus = energy(ModeIndex(3, +1, +1), p)
-        e_minus = energy(ModeIndex(3, -1, +1), p)
-        assert e_plus == -e_minus == pytest.approx(phi(3, p))
 
 
 class TestBranchCoefficients:
@@ -87,9 +79,9 @@ class TestTaylor:
 
     def test_default_center_is_real_n0(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)
-        n0, p0, dp, ddp = taylor(p)
-        assert n0 == 12.5
-        assert (p0, dp, ddp) == taylor_at(12.5, p)
+        sc = derived_scales(p)
+        assert sc.n0_real == 12.5
+        assert (sc.phi0, sc.dphi, sc.ddphi) == taylor_at(12.5, p)
 
     def test_quadratic_truncation_exact_at_center(self):
         p = ModelParams(lambda_over_a=0.5, qa=10.0)
@@ -112,7 +104,7 @@ class TestTaylor:
 
     def test_requires_qa_at_least_one(self):
         with pytest.raises(ValueError):
-            taylor(ModelParams(lambda_over_a=0.1, qa=0.5))
+            derived_scales(ModelParams(lambda_over_a=0.1, qa=0.5))
 
 
 class TestDerivedScales:
