@@ -29,7 +29,6 @@ from .fields import (
     fractional_revival_field,
     gauss_sum_coefficients,
     jc_field,
-    jc_spinor,
     polar_to_xy,
     positive_energy_field,
 )

@@ -32,9 +32,10 @@ class KahanAccumulator:
     order, written into its own sum, compensation and one scratch array, so
     each term must fit the sum's shape and dtype.  ``total`` is then a live
     buffer that the next ``add`` overwrites; a 0-d sum gives a numpy scalar.
-    The internal ``_scratch`` argument hands in a caller's buffer of the
-    sum's shape and dtype as that scratch: each ``add`` then overwrites it,
-    so several sums can share it when every term is written into it afresh.
+    The internal ``_scratch`` argument, used by ``block_sums``, hands in a
+    buffer of the sum's shape and dtype as that scratch: each ``add`` then
+    overwrites it, so several sums share it when every term is written into
+    it afresh.
     """
 
     def __init__(self, like, *, _scratch=None):
@@ -66,25 +67,35 @@ class KahanAccumulator:
 _BLOCK_POINTS = 16384
 
 
-def row_blocks(shape: tuple[int, ...], *arrays, points: int | None = None):
-    """Split the leading axis of ``shape`` into runs of rows, in order.
+def block_sums(totals: np.ndarray, add_terms, *arrays) -> None:
+    """Sum one series per row of ``totals`` over blocks of its points.
 
-    Yields ``(index, views)`` per block: ``index`` selects the block of an
-    array of ``shape`` (``...`` for a 0-d shape, one block), and ``views``
-    holds each of ``arrays`` (which broadcast to ``shape``) as the block
-    reads it: its rows where it spans the leading axis, else whole, so a
-    ``(n, 1)`` x ``(1, m)`` input stays broadcast.  A block holds at most
-    ``points`` (default ``_BLOCK_POINTS``) points, or one row where a row
-    alone holds more.
+    The leading axis of ``totals.shape[1:]`` is cut into runs of rows, in
+    order, of at most ``_BLOCK_POINTS`` points, or one row where a row alone
+    holds more (a 0-d shape is one block).  Per block, one term buffer of
+    the block's shape is the scratch of one ``KahanAccumulator`` per row of
+    ``totals``, and ``add_terms(term, sums, *views)`` adds the block's terms,
+    each written into ``term`` afresh.  ``views`` holds each of ``arrays``
+    (which broadcast to the points' shape) as the block reads it: its rows
+    where it spans the leading axis, else whole, so a ``(n, 1)`` x ``(1, m)``
+    input stays broadcast.  The block's totals are then stored in
+    ``totals``, and its buffers are freed before the next block's are made.
     """
-    if not shape:
-        yield ..., [a[...] for a in arrays]
-        return
-    row = max(1, math.prod(shape[1:]))
-    rows = max(1, (_BLOCK_POINTS if points is None else points) // row)
-    for start in range(0, shape[0], rows):
-        block = slice(start, start + rows)
-        yield block, [a[block] if a.ndim == len(shape) and a.shape[0] != 1 else a for a in arrays]
+    shape = totals.shape[1:]
+    rows = max(1, _BLOCK_POINTS // max(1, math.prod(shape[1:])))
+    blocks = [slice(start, start + rows) for start in range(0, shape[0], rows)] if shape else [...]
+    for block in blocks:
+        _sum_block(totals, block, add_terms,
+                   [a[block] if a.ndim == len(shape) and a.shape[:1] != (1,) else a for a in arrays])
+
+
+def _sum_block(totals: np.ndarray, block, add_terms, views) -> None:
+    # a call rather than a loop body, so the block's buffers go when it returns
+    term = np.empty_like(totals[0, block])
+    sums = [KahanAccumulator(term, _scratch=term) for _ in range(len(totals))]
+    add_terms(term, sums, *views)
+    for i, acc in enumerate(sums):
+        totals[i, block] = acc.total
 
 
 def float_kahan_sum(terms) -> float:

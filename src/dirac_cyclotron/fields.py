@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import KahanAccumulator, levels, row_blocks
+from .basis import block_sums, levels
 from .spectrum import ModelParams, taylor_at
 
 
@@ -123,11 +123,8 @@ def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.nda
          be * b[k - 1] * qa / math.sqrt(2.0 * (k - 1)) if k >= 2 else None, phase[k - 1])
         for k in range(win.n_min, win.n_max + 1)
     ]
-    shape = np.broadcast_shapes(rho.shape, theta.shape)
-    totals = np.empty((4,) + shape, dtype=complex)
-    for block, (w_b, rho_b, e_b) in row_blocks(shape, w, rho, e_mth):
-        term = np.empty_like(totals[0, block])
-        acc = [KahanAccumulator(term, _scratch=term) for _ in range(4)]
+
+    def add_terms(term, acc, w_b, rho_b, e_b):
         W = _scaled_power(w_b, win.n_min - 1)  # w^(k-1)/(k-1)! at k = n_min
         W_prev = _scaled_power(w_b, win.n_min - 2) if win.n_min >= 2 else np.empty_like(W)
         for k, a1, a4, root_2k, ph_k, b2, b3, ph_n in series:
@@ -142,9 +139,9 @@ def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.nda
                 if b3 is not None:
                     acc[2].add(np.multiply(np.multiply(b3, W_prev, out=term), ph_n, out=term))
             W_prev, W = W, np.divide(np.multiply(W, w_b, out=W_prev), k, out=W_prev)
-        for i, a in enumerate(acc):
-            totals[i, block] = a.total
 
+    totals = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
+    block_sums(totals, add_terms, w, rho, e_mth)
     pref = envelope_prefactor(rho, theta, params) / params.weight_norm
     return np.stack([pref * a for a in totals])
 
@@ -236,20 +233,20 @@ def fractional_revival_field(
     period, p = gauss_sum_coefficients(m, n)
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(rho.shape, theta.shape)
-    out = np.empty((4,) + shape, dtype=complex)
-    for block, (rho_b, theta_b) in row_blocks(shape, rho, theta):
-        term = np.empty_like(out[:, block])
-        acc = KahanAccumulator(term, _scratch=term)
+
+    def add_terms(term, sums, rho_b, theta_b):
         for j in range(period):
             field = classical_field(rho_b, theta_b, tau + j * t_cl / period, params)
-            acc.add(np.multiply(p[j], field, out=term))
-        out[:, block] = acc.total
+            for acc, component in zip(sums, field):
+                acc.add(np.multiply(p[j], component, out=term))
+
+    out = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
+    block_sums(out, add_terms, rho, theta)
     return out
 
 
-def jc_field(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Two-band (Jaynes-Cummings subspace) packet: the pair (Psi1, Psi2).
+def jc_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
+    """Two-band (Jaynes-Cummings subspace) packet as the 4-spinor (Psi1, 0, 0, Psi2).
 
     Written against the common prefactor M rather than psi_c * exp(-w) (the
     two forms are identical; this one avoids cancellation for large w).
@@ -267,31 +264,20 @@ def jc_field(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarray, n
         p = phis[n]
         c_t, s_t = math.cos(p * tau), math.sin(p * tau)
         series.append((n, c_t - 1j * s_t / p, s_t / p))
-    shape = np.broadcast_shapes(rho.shape, theta.shape)
-    totals = np.empty((2,) + shape, dtype=complex)
-    for block, (w_b,) in row_blocks(shape, w):
-        term = np.empty_like(totals[0, block])
-        acc1 = KahanAccumulator(term, _scratch=term)
-        acc2 = KahanAccumulator(term, _scratch=term)
+
+    def add_terms(term, sums, w_b):
         W = _scaled_power(w_b, n_start - 1)
         for n, z1, z2 in series:
-            acc1.add(np.multiply(W, z1, out=term))
-            acc2.add(np.multiply(W, z2, out=term))
+            sums[0].add(np.multiply(W, z1, out=term))
+            sums[1].add(np.multiply(W, z2, out=term))
             np.divide(np.multiply(W, w_b, out=W), n, out=W)
-        totals[0, block] = acc1.total
-        totals[1, block] = acc2.total
 
+    psi = np.zeros((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
+    block_sums(psi[::3], add_terms, w)  # the two sums go to components 1 and 4
     pref = envelope_prefactor(rho, theta, params)
-    psi1 = pref * totals[0]
-    psi2 = pref * 1j * la * rho * np.exp(-1j * theta) * totals[1]
-    return psi1, psi2
-
-
-def jc_spinor(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
-    """Two-band packet assembled as a 4-spinor: (Psi1, 0, 0, Psi2)."""
-    psi1, psi2 = jc_field(rho, theta, tau, params)
-    zero = np.zeros_like(psi1)
-    return np.stack([psi1, zero, zero, psi2])
+    psi[0] = pref * psi[0]
+    psi[3] = pref * 1j * la * rho * np.exp(-1j * theta) * psi[3]
+    return psi
 
 
 def cat_decomposition(

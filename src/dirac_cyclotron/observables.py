@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .basis import KahanAccumulator, float_kahan_sum, levels, row_blocks
+from .basis import KahanAccumulator, block_sums, float_kahan_sum, levels
 from .fields import PolarGrid
 from .spectrum import ModelParams, derived_scales, taylor_at
 
@@ -147,20 +147,18 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
         if m >= win.n_min:
             terms.append((3, math.sqrt(m * (p[m] - 1.0) / p[m]), phase[m]))
         series.append((m, terms))
-    shape = np.broadcast_shapes(rho.shape, theta.shape)
-    totals = np.empty((4,) + shape, dtype=complex)
-    for block, (lg_b, e_b) in row_blocks(shape, lg, e_pth):
-        base = np.empty_like(totals[0, block])
-        term = np.empty_like(base)
-        sums = [KahanAccumulator(term, _scratch=term) for _ in range(4)]
+
+    def add_terms(term, sums, lg_b, e_b):
+        base = np.empty_like(term)
         for m, terms in series:
             # m = 0 apart: 0 * log 0 is NaN
             pw = ((-1.0) ** m) * np.exp(m * lg_b - math.lgamma(m + 1)) if m else np.ones_like(lg_b)
             np.multiply(pw, e_b**m, out=base)
             for i, f, ph in terms:
                 sums[i].add(np.multiply(np.multiply(base, f, out=term), ph, out=term))
-        for i, acc in enumerate(sums):
-            totals[i, block] = acc.total
+
+    totals = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
+    block_sums(totals, add_terms, lg, e_pth)
     s_a1, s_a2, s_b1, s_b2 = totals
     pref = (
         params.alpha

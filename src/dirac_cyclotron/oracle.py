@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _BLOCK_POINTS, KahanAccumulator, ModeSet, q_kernel_walk, row_blocks
+from .basis import ModeSet, block_sums, q_kernel_walk
 from .fields import PolarGrid, polar_to_xy
 from .spectrum import ModelParams, branch_coefficients, phi, phi_taylor2
 
@@ -48,14 +48,15 @@ def mode_sum_field(
     Q_{n-1}, Q_n in the two components selected by lambda_k.  ``tau`` is a
     scalar, giving shape ``(4,) + rho.shape``, or a 1-D axis, giving
     ``(len(tau), 4) + rho.shape``.  The sum runs over the flattened points
-    in blocks of ``_BLOCK_POINTS // len(tau)`` points.  Each block walks the
-    kernel orders Q_0 .. Q_{n_max} once, in one buffer stepped in place, and
-    at each order adds every term that uses it, for all taus at once, to
-    its component's compensated sum; no kernel stack is stored.  Mode-set
-    entries must be in ascending n (``ValueError`` otherwise): then each
-    component's kernel orders ascend in entry order, so every point's terms
-    are added in entry order whatever its block and whatever the other
-    taus, and neither the blocking nor the tau axis changes a bit.
+    in ``block_sums`` blocks of ``_BLOCK_POINTS // len(tau)`` points.  Each
+    block walks the kernel orders Q_0 .. Q_{n_max} once, in one buffer
+    stepped in place, and at each order adds every term that uses it, for
+    all taus at once, to its component's compensated sum; no kernel stack
+    is stored.  Mode-set entries must be in ascending n (``ValueError``
+    otherwise): then each component's kernel orders ascend in entry order,
+    so every point's terms are added in entry order whatever its block and
+    whatever the other taus, and neither the blocking nor the tau axis
+    changes a bit.
     """
     rho, theta = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(theta, dtype=float))
     taus = np.asarray(tau, dtype=float)
@@ -74,7 +75,7 @@ def mode_sum_field(
     d_all, b_all = (c.tolist() for c in branch_coefficients(np.arange(n_max + 1), params))
     tau_list = taus.reshape(-1).tolist()
 
-    # Each kernel order's terms (component, (n_tau, 1) column of factor * phase),
+    # Each kernel order's terms (component, (1, n_tau) row of factor * phase),
     # in entry order.  Mode (n, s) weights its two kernels by (d_n, -b_n) for
     # s = +1 and by (b_n, d_n) for s = -1: lambda_k = +1 puts them on Q_{n-1}
     # in psi_1 and Q_n in psi_4, lambda_k = -1 on Q_n in psi_2 and Q_{n-1} in
@@ -90,29 +91,19 @@ def mode_sum_field(
         else:
             (lo, f_lo), (hi, f_hi) = (2, second), (1, first)
         if n >= 1:
-            by_order[n - 1].append((lo, np.array([[f_lo * ph] for ph in phases])))
-        by_order[n].append((hi, np.array([[f_hi * ph] for ph in phases])))
+            by_order[n - 1].append((lo, np.array([[f_lo * ph for ph in phases]])))
+        by_order[n].append((hi, np.array([[f_hi * ph for ph in phases]])))
+
+    def add_terms(term, sums, xb, yb):
+        # the term buffer is (point, tau), tau-major like the output
+        for q, order_terms in zip(q_kernel_walk(n_max, xb, yb, params), by_order):
+            for component, f in order_terms:
+                sums[component].add(np.multiply(f, q, out=term))
 
     out = np.empty((len(tau_list), 4, rho.size), dtype=complex)
-    for block, (xb, yb) in row_blocks((rho.size,), x, y, points=_BLOCK_POINTS // len(tau_list)):
-        _sum_block(out[:, :, block], q_kernel_walk(n_max, xb, yb, params), by_order)
+    # the points go in as (P, 1) columns, so a block holds _BLOCK_POINTS // n_tau of them
+    block_sums(out.transpose(1, 2, 0), add_terms, x[:, None], y[:, None])
     return out.reshape(taus.shape + (4,) + rho.shape)
-
-
-def _sum_block(out: np.ndarray, walk, by_order: list[list]) -> None:
-    """Write one block's four sums into ``out``; its buffers go before the next block's.
-
-    The term buffer is also the scratch of all four sums: each term is
-    written into it, and its ``add`` overwrites it with y = term - c, so
-    each sum adds two block-sized buffers (sum and compensation), not three.
-    """
-    term = np.empty_like(out[:, 0])
-    sums = [KahanAccumulator(term, _scratch=term) for _ in range(4)]
-    for q, order_terms in zip(walk, by_order):
-        for component, f in order_terms:
-            sums[component].add(np.multiply(f, q, out=term))
-    for component, acc in enumerate(sums):
-        out[:, component] = acc.total
 
 
 @dataclass(frozen=True)
@@ -173,8 +164,6 @@ def quadrature_expectation(kind: str, field: OracleField, params: ModelParams) -
     norm = field.norm
     if not abs(norm - 1.0) <= 1e-3:  # a NaN norm fails this too
         raise ValueError(f"field norm {norm:.6f} deviates too far from 1 (grid too small?)")
-    if kind == "norm":
-        return norm
     if kind in ("position_x", "position_y"):
         rr, tt = field.grid.mesh()
         x, y = polar_to_xy(rr, tt, params)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,9 @@ from dirac_cyclotron.basis import (
     QA_MAX,
     _log_weight_sq,
     _pair_log_weight,
+    block_sums,
     float_kahan_sum,
     q_kernel_walk,
-    row_blocks,
 )
 
 
@@ -447,6 +448,8 @@ def _block_inputs(kind: str, n: int, m: int, points: int) -> tuple[np.ndarray, .
 
 
 class TestRowBlocks:
+    """``block_sums`` cuts the leading axis into runs of rows, in order."""
+
     @given(
         kind=st.sampled_from(["0-d", "1-D", "axes", "mesh", "wide row"]),
         n=st.integers(min_value=0, max_value=30),
@@ -457,25 +460,52 @@ class TestRowBlocks:
     def test_blocks_cover_every_point_once_in_order(self, kind, n, m, points):
         arrays = _block_inputs(kind, n, m, points)
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        whole = np.broadcast_arrays(*arrays)
-        seen = []
-        for index, views in row_blocks(shape, *arrays, points=points):
+        totals = np.full((2,) + shape, np.nan, dtype=complex)
+        seen, freed = [], []
+
+        def add_terms(term, sums, *views):
+            # the previous block's term buffer and sums are gone
+            assert all(ref() is None for ref in freed)
             block = np.add(*views)
-            assert block.shape == whole[0][index].shape
+            assert term.shape == block.shape and len(sums) == 2
+            assert all(acc._y is term for acc in sums)
             assert block.size <= points or block.shape[0] == 1
-            for view, full in zip(np.broadcast_arrays(*views), whole, strict=True):
-                assert view.tobytes() == full[index].tobytes()
+            for view, a in zip(views, arrays, strict=True):
+                # an input that does not span the leading axis stays whole, and broadcast
+                spans = a.ndim == len(shape) > 0 and a.shape[0] != 1
+                assert view.shape == ((block.shape[0],) + a.shape[1:] if spans else a.shape)
             seen.extend(block.ravel().tolist())
+            np.copyto(term, block)
+            sums[0].add(term)
+            term.fill(1.0)
+            sums[1].add(term)
+            freed[:] = [weakref.ref(b) for b in (term, *sums)]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dirac_cyclotron.basis, "_BLOCK_POINTS", points)
+            block_sums(totals, add_terms, *arrays)
         if kind == "0-d":
             assert seen == [5.0]
         else:
             assert seen == list(range(math.prod(shape)))
+        # each block's totals land on its own points
+        assert totals[0].tobytes() == np.add(*arrays).astype(complex).tobytes()
+        assert np.all(totals[1] == 1.0)
 
     @given(size=st.integers(min_value=0, max_value=3000), n_tau=st.integers(min_value=1, max_value=20000))
     @settings(max_examples=100, deadline=None)
     def test_oracle_blocks_keep_their_point_ranges(self, size, n_tau):
-        # mode_sum_field's flattened points, in runs of _BLOCK_POINTS // n_tau (at least one)
-        x = np.arange(size, dtype=float)
+        # mode_sum_field's call: a (point, tau) view of its output and (P, 1)
+        # point columns, in runs of _BLOCK_POINTS // n_tau points (at least one)
+        out = np.lib.stride_tricks.as_strided(
+            np.empty(1, dtype=complex), (n_tau, 1, size), (0, 0, 0), writeable=True)
+        x = np.arange(size, dtype=float)[:, None]
+        got = []
+
+        def add_terms(term, sums, xb):
+            assert term.shape == (len(xb), n_tau)
+            got.append((int(xb[0, 0]), len(xb)))
+
+        block_sums(out.transpose(1, 2, 0), add_terms, x)
         points = max(1, _BLOCK_POINTS // n_tau)
-        got = [(b.start, len(xb)) for b, (xb,) in row_blocks((size,), x, points=_BLOCK_POINTS // n_tau)]
         assert got == [(s, min(points, size - s)) for s in range(0, size, points)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_cyclotron import ModelParams, PolarGrid, __version__, cli, derived_scales, oracle
+from dirac_cyclotron import ModelParams, PolarGrid, __version__, basis, cli, derived_scales, oracle
 from dirac_cyclotron.cli import (
     ConfigError,
     Scenario,
@@ -477,11 +477,14 @@ class TestExitCodes:
             (PHYSICS.format("timescales").replace("0.1", "1e-80"), "lambda_over_a"),
             (PHYSICS.format("timescales").replace("0.1", "1e160"), "lambda_over_a"),
             (PHYSICS.format("timescales").replace("qa = 5", "qa = 1e8"), "qa = 100000000.0"),
+            (PHYSICS.format("velocity") + "t_end = T_cl\nn_samples = 1\n", "n_samples must be >= 2"),
+            (DENSITY_MAP + "spectrum = taylor3\n", "unknown spectrum"),
         ],
         ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
              "duplicate_resolved_output", "trunc_tol", "t_end_multiplier", "t_nan",
              "t_end_inf", "missing_dir", "qa_below_one", "lambda_over_a_underflow",
-             "T_R_overflow", "lambda_over_a_overflow", "qa_above_maximum"],
+             "T_R_overflow", "lambda_over_a_overflow", "qa_above_maximum", "n_samples",
+             "spectrum"],
     )
     def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
         cfg = tmp_path / "run.cfg"
@@ -629,7 +632,7 @@ class TestValidation:
         # slice of the two 10-tau velocity/spin sweeps and eight 4-tau blocks
         # for the conservation sweep
         assert sorted(points) == sorted([3200] * 2 + ([3276] * 9 + [1236]) * 4 + [4096] * 7 + [2048])
-        assert max(points) <= oracle._BLOCK_POINTS // 4
+        assert max(points) <= basis._BLOCK_POINTS // 4
 
     def test_oracle_calls_get_at_most_five_taus(self, monkeypatch):
         taus_per_call = []
@@ -666,7 +669,7 @@ class TestValidation:
     def test_peak_memory_below_one_stack_and_ten_fields(self):
         # the parent design held a full SET2 block stack (110 orders) beside
         # all ten 120x256 fields of a quadrature sweep
-        bound = (110 * oracle._BLOCK_POINTS + 10 * 4 * 120 * 256) * np.dtype(complex).itemsize
+        bound = (110 * basis._BLOCK_POINTS + 10 * 4 * 120 * 256) * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
             rows, ok = validation_report(threads=1)
@@ -711,6 +714,35 @@ class TestValidation:
         assert "FAIL  norm_drift" in out and "wrote" not in out
         assert "error: numeric: validation deviations exceed thresholds" in err
         assert (tmp_path / "validate.csv").read_text().endswith("norm_drift,1,9.9999999999999995e-07,FAIL\n")
+
+    @pytest.mark.parametrize(
+        "name, row",
+        [("mean_velocity_positive", "velocity_positive_vs_quadrature"),
+         ("mean_spin_transverse", "spin_transverse_vs_quadrature"),
+         ("q_kernel", "kernel_quadrature_vs_closed_form")],
+    )
+    def test_nan_deviation_fails_its_row(self, tmp_path, capsys, monkeypatch, name, row):
+        # a NaN that is not the first value of a max: at the second tau of the
+        # slice in v_x, in S_y at every tau (after S_x's deviation), or in
+        # the kernel at k = 3
+        closed = getattr(cli, name)
+
+        def with_nan(*args):
+            if name == "q_kernel":
+                return math.nan if args[0] == 3 else closed(*args)
+            first, second = (np.array(v, dtype=float) for v in closed(*args))
+            if name == "mean_velocity_positive":
+                first[1] = math.nan
+            else:
+                second[:] = math.nan
+            return first, second
+
+        monkeypatch.setattr(cli, name, with_nan)
+        assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 2
+        out, err = capsys.readouterr()
+        assert [line.split()[:2] for line in out.splitlines() if line.startswith("FAIL")] == [["FAIL", row]]
+        assert "error: numeric: validation deviations exceed thresholds" in err
+        assert f"\n{row},nan," in (tmp_path / "validate.csv").read_text()
 
     def test_validate_scenario_in_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from dirac_cyclotron import (
     fractional_revival_field,
     gauss_sum_coefficients,
     jc_field,
-    jc_spinor,
     mode_sum_field,
     normalized_fidelity,
     polar_to_xy,
@@ -80,7 +80,7 @@ class TestClosedFormVsModeSum:
         rr, tt = g.mesh()
         ms = build_mode_set("two_band", set2)
         for tau in (0.0, 3.3, 61.0):
-            a = jc_spinor(rr, tt, tau, set2)
+            a = jc_field(rr, tt, tau, set2)
             b = mode_sum_field(rr, tt, tau, ms, set2)
             assert float(np.max(np.abs(a - b))) < 1e-10
 
@@ -94,9 +94,10 @@ class TestClosedFormVsModeSum:
 
     def test_jc_component_reduces_to_coherent_state(self, set1, small_grid):
         rr, tt = small_grid.mesh()
-        psi1, psi2 = jc_field(rr, tt, 0.0, set1)
+        psi1, zero1, zero2, psi2 = jc_field(rr, tt, 0.0, set1)
         assert float(np.max(np.abs(psi1 - coherent_ground_state(rr, tt, set1)))) < 1e-5
         assert float(np.max(np.abs(psi2))) == 0.0
+        assert not np.any(zero1) and not np.any(zero2)
 
     def test_envelope_prefactor_modulus(self, set1):
         # |M|^2 = exp(-(rho^2 + qa^2)/2) / (2 pi)
@@ -169,6 +170,11 @@ class TestGaussSums:
         with pytest.raises(ValueError):
             gauss_sum_coefficients(2, 4)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_denominator_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gauss_sum_coefficients(1, n)
+
 
 class TestFractionalRevivalField:
     def test_half_revival_reduces_to_classical(self, set1, small_grid):
@@ -218,11 +224,11 @@ class TestCatDecomposition:
 
 
 # Every map kernel the CLI calls, as it calls it; each returns a tuple of
-# arrays over the grid.
+# arrays over the grid.  "jc_spinor" is the two-band 4-spinor of jc_field.
 MAP_KERNELS = {
     "spin_density": spin_density,
     "positive_energy_field": lambda r, t, tau, p: (positive_energy_field(r, t, tau, p),),
-    "jc_spinor": lambda r, t, tau, p: (jc_spinor(r, t, tau, p),),
+    "jc_spinor": lambda r, t, tau, p: (jc_field(r, t, tau, p),),
     "classical_field": lambda r, t, tau, p: (classical_field(r, t, tau, p),),
     "fractional_1_3": lambda r, t, tau, p: (fractional_revival_field(r, t, tau, 1, 3, p),),
     "mode_sum_taylor2": lambda r, t, tau, p: (
@@ -292,6 +298,24 @@ class TestAxisInput:
         assert map_digest(kernel, n_rho, n_theta) == MAP_SHA256[kernel, n_rho, n_theta]
 
 
+    # with each block's buffers alive until the next block's were made,
+    # these calls peaked at 9.0, 6.3 and 4.7 MiB
+    @pytest.mark.parametrize("kernel, packet, bound_mib", [
+        ("positive_energy_field", "set1", 7.5), ("spin_density", "set2", 5.5), ("jc_spinor", "set2", 4.5)])
+    def test_axes_call_peak(self, request, kernel, packet, bound_mib):
+        params = request.getfixturevalue(packet)
+        g = PolarGrid(rho_max=params.qa + 6.0, n_rho=120, n_theta=256)
+        axes = np.ix_(g.rho, g.theta)
+        MAP_KERNELS[kernel](*axes, 12.3, params)  # the level table is built once and cached
+        tracemalloc.start()
+        try:
+            MAP_KERNELS[kernel](*axes, 12.3, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
+
 # point_digest() as recorded before the level powers dropped their zero guards
 POINT_SHA256 = "2e3b440049e02d6d3e2a295b325dfe304f5d088cad98db444f1bfb499620665c"
 
@@ -311,7 +335,7 @@ def point_digest() -> str:
         for tau in (7.0, 123.4):
             calls += [
                 lambda r, t, tau=tau: (positive_energy_field(r, t, tau, params),),
-                lambda r, t, tau=tau: (jc_spinor(r, t, tau, params),),
+                lambda r, t, tau=tau: (jc_field(r, t, tau, params),),
                 lambda r, t, tau=tau: spin_density(r, t, tau, params),
             ]
         for call in calls:

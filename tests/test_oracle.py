@@ -22,7 +22,7 @@ from dirac_cyclotron import (
     q_kernel,
     sample_mode_sum,
 )
-from dirac_cyclotron import oracle
+from dirac_cyclotron import basis, oracle
 from dirac_cyclotron.basis import MODE_SET_KINDS, ModeSet, q_kernel_stack
 from dirac_cyclotron.fields import default_grid, polar_to_xy
 from dirac_cyclotron.oracle import (
@@ -120,7 +120,7 @@ class TestTauAxis:
         def no_block(*args):
             raise AssertionError("a block was summed")
 
-        monkeypatch.setattr(oracle, "_sum_block", no_block)
+        monkeypatch.setattr(oracle, "block_sums", no_block)
         rr, tt = grid1.mesh()
         ms = build_mode_set("positive_only", set1)
         with pytest.raises(ValueError, match="tau must be finite"):
@@ -200,7 +200,7 @@ class TestComponentPasses:
         ms = build_mode_set(kind, params)
         taus = _three_taus(params)
         # 252 points: blocks of 40 and a ragged 12 for one tau, of 13 and a ragged 5 for three
-        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 40)
+        monkeypatch.setattr(basis, "_BLOCK_POINTS", 40)
         refs = np.stack([_entry_ordered_field(rr, tt, t, ms, params, variant) for t in taus])
         for tau, ref in ((taus[1], refs[1]), (taus[1:2], refs[1:2]), (taus, refs)):
             field = mode_sum_field(rr, tt, tau, ms, params, variant)
@@ -211,7 +211,7 @@ class TestComponentPasses:
     def test_one_kernel_walk_per_block(self, monkeypatch, kernel_walks, set2, n_tau, points):
         rr, tt = PolarGrid(rho_max=16.0, n_rho=14, n_theta=18).mesh()
         ms = build_mode_set("two_band", set2)
-        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 40)
+        monkeypatch.setattr(basis, "_BLOCK_POINTS", 40)
         tau = 1.0 if n_tau is None else np.linspace(0.0, 1.0, n_tau)
         mode_sum_field(rr, tt, tau, ms, set2)
         # each block walks Q_0 .. Q_{n_max} once, for every tau and component
@@ -370,7 +370,7 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="norm"):
             quadrature_expectation("velocity_x", f, set1)
 
-    @pytest.mark.parametrize("kind", ["norm", "sigma_z"])
+    @pytest.mark.parametrize("kind", ["position_x", "sigma_z"])
     def test_refuses_nan_field(self, set1, kind):
         grid = PolarGrid(rho_max=2.0, n_rho=10, n_theta=8)
         f = OracleField(grid=grid, samples=np.full((4, 10, 8), np.nan, dtype=complex))
