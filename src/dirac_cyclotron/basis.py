@@ -219,8 +219,8 @@ def truncation_window(params: ModelParams) -> TruncationWindow:
     Grown greedily outwards from the weight peak, always absorbing the
     boundary with the larger mass (the Poisson weights are right-skewed, so
     the window comes out asymmetric around n0 + 1), until both the running
-    ``1 - covered`` and the dropped mass summed afresh from the dropped
-    weights fall below trunc_tol.  The window depends only on (qa,
+    ``1 - covered`` and the dropped mass, summed from the dropped weights,
+    fall below trunc_tol.  The window depends only on (qa,
     trunc_tol) and is cached on those, so packets that differ only in
     alpha/beta or lambda_over_a share one instance.  A qa above ``QA_MAX``
     raises ``ValueError``.
@@ -241,8 +241,10 @@ def _window(qa: float, trunc_tol: float) -> TruncationWindow:
     lam = 0.5 * qa**2
     peak = max(1, int(math.floor(lam)) + 1)
     lo = hi = peak
-    covered = math.exp(_log_weight_sq(peak, qa))
-    while 1.0 - covered >= trunc_tol or _dropped_mass(lo, hi, qa) >= trunc_tol:
+
+    def absorb() -> float:
+        """Grow the window by its heavier neighbour; return that weight."""
+        nonlocal lo, hi
         w_lo = math.exp(_log_weight_sq(lo - 1, qa)) if lo > 1 else -1.0
         w_hi = math.exp(_log_weight_sq(hi + 1, qa))
         if w_hi == 0.0 and w_lo <= 0.0:
@@ -252,10 +254,18 @@ def _window(qa: float, trunc_tol: float) -> TruncationWindow:
             )
         if w_hi >= w_lo:
             hi += 1
-            covered += w_hi
-        else:
-            lo -= 1
-            covered += w_lo
+            return w_hi
+        lo -= 1
+        return w_lo
+
+    covered = math.exp(_log_weight_sq(peak, qa))
+    while 1.0 - covered >= trunc_tol:
+        covered += absorb()
+    # 1 - covered stays below trunc_tol from here on; the dropped mass is
+    # summed once, and each weight the window then absorbs leaves that sum
+    dropped = _dropped_mass(lo, hi, qa)
+    while dropped >= trunc_tol:
+        dropped -= absorb()
     return TruncationWindow(lo, hi)
 
 

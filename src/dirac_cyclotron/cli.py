@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import math
 import re
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -171,18 +173,26 @@ def _write_artifact(
     path: Path,
     header: list[tuple[str, str]],
     columns: list[str],
-    payload: str,
+    payload: Iterable[str],
     timestamp: bool,
 ) -> None:
-    """Write the provenance header, the column names and ``payload``, the
-    formatted rows, each ending in a newline."""
+    """Write the provenance header, the column names and ``payload``, an
+    iterable of chunks of formatted rows, each row ending in a newline; each
+    chunk is written as it is made."""
     text = [f"# dirac-cyclotron {__version__}"]
     if timestamp:
         text.append(f"# generated = {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
     text += [f"# {k} = {v}" for k, v in header] + [",".join(columns), ""]
     with path.open("w") as fh:
         fh.write("\n".join(text))
-        fh.write(payload)
+        for chunk in payload:
+            fh.write(chunk)
+
+
+# The most rows in one chunk of a table: one '%' fills the chunk's template
+# and one write writes it, so the writer's strings and value tuple hold at
+# most this many rows, not the whole table (a map's chunks are its theta runs).
+_CHUNK_ROWS = 4096
 
 
 def _write_table(
@@ -203,24 +213,31 @@ def _write_table(
     """
     if not all(np.isfinite(v).all() for v in (*axes, *values)):
         raise ArithmeticError(f"non-finite value in the {path.name} payload")
-    # the values in row order; np.stack raises ValueError on unequal columns
-    table = np.stack([np.ravel(v) for v in values], axis=1)
+    flat = [np.ravel(v) for v in values]
     n_rows = math.prod(len(axis) for axis in axes)
-    if len(table) != n_rows:
-        raise ValueError(f"{len(table)} values per column for the {n_rows} rows "
-                         f"of the {path.name} payload")
-    # One template holds every row, and one '%' fills it.  Each prefix of
-    # the outer axes joins the rows of the last axis, so the Python work is
-    # per axis value, not per row.  Formatted finite numbers hold no '%',
-    # and _FLOAT % x has the bytes of fmt(x).
+    if any(len(column) != n_rows for column in flat):
+        raise ValueError(f"{[len(column) for column in flat]} values per column for the "
+                         f"{n_rows} rows of the {path.name} payload")
+    # Each chunk is a run of at most _CHUNK_ROWS rows under one prefix of
+    # the outer axes; one template holds its rows and one '%' fills it, so
+    # the Python work is per axis value and per chunk, not per row.
+    # Formatted finite numbers hold no '%', and _FLOAT % x has the bytes
+    # of fmt(x).
     cells = [[_FLOAT % a + "," for a in axis.tolist()] for axis in axes]
     row = ",".join([_FLOAT] * len(values)) + "\n"
     rows = [c + row for c in cells[-1]] if cells else [row]
-    prefixes = [""]
-    for outer in cells[:-1]:
-        prefixes = [p + c for p in prefixes for c in outer]
-    template = "".join([p + p.join(rows) for p in prefixes])
-    _write_artifact(path, header, columns, template % tuple(table.ravel().tolist()), timestamp)
+
+    def chunks():
+        start = 0
+        for outer in itertools.product(*cells[:-1]):
+            prefix = "".join(outer)
+            for lo in range(0, len(rows), _CHUNK_ROWS):
+                hi = min(lo + _CHUNK_ROWS, len(rows))
+                chunk = np.stack([column[start + lo:start + hi] for column in flat], axis=1)
+                yield (prefix + prefix.join(rows[lo:hi])) % tuple(chunk.ravel().tolist())
+            start += len(rows)
+
+    _write_artifact(path, header, columns, chunks(), timestamp)
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -406,8 +423,7 @@ def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) ->
             print(f"{status:4s}  {name}  max|dev|={dev:.3e}  thr={thr:.0e}")
         header = [("scenario", "validate"), ("quick", str(quick).lower())]
         columns = ["check", "max_abs_deviation", "threshold", "status"]
-        payload = "".join(f"{name},{fmt(dev)},{fmt(thr)},{status}\n"
-                          for name, dev, thr, status in rows)
+        payload = (f"{name},{fmt(dev)},{fmt(thr)},{status}\n" for name, dev, thr, status in rows)
         _write_artifact(path, header, columns, payload, timestamp)
         if not ok:
             raise ArithmeticError("validation deviations exceed thresholds")

@@ -143,7 +143,9 @@ def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.nda
     totals = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
     block_sums(totals, add_terms, w, rho, e_mth)
     pref = envelope_prefactor(rho, theta, params) / params.weight_norm
-    return np.stack([pref * a for a in totals])
+    if totals.ndim == 1:  # a point keeps numpy's scalar products: the ufunc's bits differ
+        return np.stack([pref * a for a in totals])
+    return np.multiply(pref, totals, out=totals)
 
 
 def classical_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
@@ -156,25 +158,35 @@ def classical_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    psi = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
+    env, e_mth = envelope_prefactor(rho, theta, params), np.exp(-1j * theta)
+    outs = [psi[i, ...] for i in range(4)]  # arrays, also for a point
+    for _ in _classical_components(env, e_mth, rho, theta, tau, params, outs):
+        pass
+    return psi
+
+
+def _classical_components(env, e_mth, rho, theta, tau: float, params: ModelParams, outs):
+    """Yield the four components of ``classical_field`` at ``tau`` in order,
+    component i formed in ``outs[i]`` by the operations of its expression in
+    their order; ``env`` is the envelope prefactor and ``e_mth`` exp(-i theta)
+    at (rho, theta).
+
+    A component is formed only once the one before it has been read, so one
+    buffer may stand in every slot of ``outs``.
+    """
     qa, la = params.qa, params.lambda_over_a
     al, be = params.alpha, params.beta
     phi0, dp, _ = taylor_at(params.n0, params)
-    rot = np.exp(-0.5 * qa * rho * np.exp(-1j * (theta + dp * tau)))
-    global_phase = np.exp(-1j * (phi0 + (1.0 - params.n0) * dp) * tau)
-    pref = (
-        envelope_prefactor(rho, theta, params)
-        * rot
-        * global_phase
-        / params.weight_norm
-    )
-    return np.stack(
-        [
-            al * pref,
-            be * np.exp(1j * dp * tau) * pref,
-            be * 0.5 * qa * la * pref,
-            -al * 0.5 * la * rho * np.exp(-1j * theta) * pref,
-        ]
-    )
+    # the rotation, then env * rotation * global phase / weight_norm, in place
+    pref = np.asarray(np.exp(-0.5 * qa * rho * np.exp(-1j * (theta + dp * tau))))
+    np.multiply(env, pref, out=pref)
+    np.multiply(pref, np.exp(-1j * (phi0 + (1.0 - params.n0) * dp) * tau), out=pref)
+    np.divide(pref, params.weight_norm, out=pref)
+    for out, scale in zip(outs, (al, be * np.exp(1j * dp * tau), be * 0.5 * qa * la)):
+        yield np.multiply(scale, pref, out=out)
+    np.multiply(-al * 0.5 * la * rho, e_mth, out=outs[3])
+    yield np.multiply(outs[3], pref, out=outs[3])
 
 
 def classical_density(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
@@ -235,9 +247,11 @@ def fractional_revival_field(
     theta = np.asarray(theta, dtype=float)
 
     def add_terms(term, sums, rho_b, theta_b):
+        env, e_mth = envelope_prefactor(rho_b, theta_b, params), np.exp(-1j * theta_b)
         for j in range(period):
-            field = classical_field(rho_b, theta_b, tau + j * t_cl / period, params)
-            for acc, component in zip(sums, field):
+            components = _classical_components(
+                env, e_mth, rho_b, theta_b, tau + j * t_cl / period, params, [term] * 4)
+            for acc, component in zip(sums, components, strict=True):
                 acc.add(np.multiply(p[j], component, out=term))
 
     out = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)

@@ -141,9 +141,13 @@ def reference_table(header, columns, axes, values) -> bytes:
     return "".join(line + "\n" for line in [*head, ",".join(columns), *rows]).encode()
 
 
+# one row more than a chunk, on one axis and along the last of two axes
+LONG = cli._CHUNK_ROWS + 1
+
+
 class TestWriteTable:
-    """_write_table formats a whole table with one '%'; its bytes must be
-    those of formatting every row with fmt."""
+    """_write_table formats and writes a table in chunks of rows, one '%'
+    per chunk; its bytes must be those of formatting every row with fmt."""
 
     HEADER = [("scenario", "test"), ("qa", "5")]
 
@@ -161,13 +165,39 @@ class TestWriteTable:
             ((np.array(SPECIAL[:3]), np.array(SPECIAL[3:])), [np.resize(SPECIAL, (3, 4))]),
             ((np.array(SPECIAL[:3]), np.array(SPECIAL[3:])),
              [np.resize(SPECIAL, (3, 4)), np.resize(SPECIAL[::-1], (3, 4))]),
+            ((np.linspace(-1.0, 1.0, LONG),), [np.resize(SPECIAL, LONG)]),
+            ((np.array(SPECIAL[:2]), np.linspace(0.0, 1.0, LONG)),
+             [np.resize(SPECIAL, (2, LONG)), np.resize(SPECIAL[::-1], (2, LONG))]),
         ],
         ids=["0_axes_int_column", "1_axis_1_column", "1_axis_2_columns",
-             "2_axes_1_column", "2_axes_2_columns"],
+             "2_axes_1_column", "2_axes_2_columns", "1_axis_longer_than_a_chunk",
+             "last_axis_longer_than_a_chunk"],
     )
     def test_bytes_match_rows_formatted_with_fmt(self, tmp_path, axes, values):
         got, expected = self.written(tmp_path / "t.csv", axes, values)
         assert got == expected
+
+    def test_timescales_row(self, tmp_path):
+        scn = parse_config("[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n")[0]
+        header, columns, axes, compute = cli._timescales(scn)
+        assert axes == ()
+        path = tmp_path / "t.csv"
+        cli._write_table(path, header, columns, axes, compute(), timestamp=False)
+        assert path.read_bytes() == reference_table(header, columns, axes, compute())
+
+    def test_grid_table_peak(self, tmp_path):
+        # the whole-table template, value tuple and payload string peaked at
+        # 6.5 MiB here; a chunk's stay far below 1 MiB
+        g = PolarGrid(rho_max=11.0, n_rho=120, n_theta=256)
+        values = [np.full((120, 256), 1 / 3), np.full((120, 256), -0.1)]
+        tracemalloc.start()
+        try:
+            cli._write_table(tmp_path / "t.csv", self.HEADER, ["a", "b", "c", "d"],
+                             (g.rho, g.theta), values, timestamp=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
