@@ -202,25 +202,15 @@ def _pair_log_weight(n: int, qa: float) -> float:
     return -0.5 * qa**2 + (2 * n + 1) * math.log(qa) - n * math.log(2.0) - math.lgamma(n + 1)
 
 
-def _dropped_mass(lo: int, hi: int, qa: float) -> float:
-    """Coherent mass outside [lo, hi], summed outwards from the dropped weights
-    until they underflow (they fall off monotonically away from the peak).
-    Each is small, so the sum keeps the digits (about 4e-14) that
-    ``1 - covered`` loses to the rounding of the large weights."""
-    def outwards(ks):
-        return itertools.takewhile(lambda w: w > 0.0, (math.exp(_log_weight_sq(k, qa)) for k in ks))
-
-    return math.fsum(itertools.chain(outwards(range(lo - 1, 0, -1)), outwards(itertools.count(hi + 1))))
-
-
 def truncation_window(params: ModelParams) -> TruncationWindow:
     """Smallest window of coherent indices whose dropped tail mass < trunc_tol.
 
     Grown greedily outwards from the weight peak, always absorbing the
     boundary with the larger mass (the Poisson weights are right-skewed, so
-    the window comes out asymmetric around n0 + 1), until both the running
-    ``1 - covered`` and the dropped mass, summed from the dropped weights,
-    fall below trunc_tol.  The window depends only on (qa,
+    the window comes out asymmetric around n0 + 1), until the dropped mass,
+    summed from the dropped weights, falls below trunc_tol.  Every weight
+    that does not underflow can be absorbed, after which none is dropped, so
+    every trunc_tol in (0, 1) is reached.  The window depends only on (qa,
     trunc_tol) and is cached on those, so packets that differ only in
     alpha/beta or lambda_over_a share one instance.  A qa above ``QA_MAX``
     raises ``ValueError``.
@@ -230,7 +220,7 @@ def truncation_window(params: ModelParams) -> TruncationWindow:
 
 # Largest supported qa (n0 = 5000).  Above it the log weights lose their
 # digits to cancellation (terms of size ~lam*log(lam)) and the window search
-# slows, then fails or returns a single level.
+# slows, then returns a single level.
 QA_MAX = 100.0
 
 
@@ -238,35 +228,25 @@ QA_MAX = 100.0
 def _window(qa: float, trunc_tol: float) -> TruncationWindow:
     if qa > QA_MAX:
         raise ValueError(f"qa = {qa!r} is above the supported maximum qa = {QA_MAX!r} (n0 = 5000)")
-    lam = 0.5 * qa**2
-    peak = max(1, int(math.floor(lam)) + 1)
-    lo = hi = peak
+    peak = max(1, int(math.floor(0.5 * qa**2)) + 1)
 
-    def absorb() -> float:
-        """Grow the window by its heavier neighbour; return that weight."""
-        nonlocal lo, hi
-        w_lo = math.exp(_log_weight_sq(lo - 1, qa)) if lo > 1 else -1.0
-        w_hi = math.exp(_log_weight_sq(hi + 1, qa))
-        if w_hi == 0.0 and w_lo <= 0.0:
-            raise ValueError(
-                f"trunc_tol = {trunc_tol!r} is unattainable at qa = {qa!r}: the "
-                "coherent weights underflow before the dropped mass falls below it"
-            )
-        if w_hi >= w_lo:
-            hi += 1
-            return w_hi
-        lo -= 1
-        return w_lo
+    def outwards(ks):
+        """The weights over ks until they underflow (they fall off away from
+        the peak), then -1.0, so that a spent side is never absorbed; and the
+        mass from each weight outwards, added smallest first so that it keeps
+        the digits of the small weights, then 0.0."""
+        w = list(itertools.takewhile(lambda x: x > 0.0, (math.exp(_log_weight_sq(k, qa)) for k in ks)))
+        return w + [-1.0], [*itertools.accumulate(reversed(w), initial=0.0)][::-1]
 
-    covered = math.exp(_log_weight_sq(peak, qa))
-    while 1.0 - covered >= trunc_tol:
-        covered += absorb()
-    # 1 - covered stays below trunc_tol from here on; the dropped mass is
-    # summed once, and each weight the window then absorbs leaves that sum
-    dropped = _dropped_mass(lo, hi, qa)
-    while dropped >= trunc_tol:
-        dropped -= absorb()
-    return TruncationWindow(lo, hi)
+    below, below_tail = outwards(range(peak - 1, 0, -1))
+    above, above_tail = outwards(itertools.count(peak + 1))
+    i = j = 0  # levels absorbed below and above the peak
+    while below_tail[i] + above_tail[j] >= trunc_tol:
+        if above[j] >= below[i]:
+            j += 1
+        else:
+            i += 1
+    return TruncationWindow(peak - i, peak + j)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,6 @@ from dirac_cyclotron.basis import (
     _BLOCK_POINTS,
     MODE_SET_KINDS,
     QA_MAX,
-    _dropped_mass,
     _log_weight_sq,
     _pair_log_weight,
     _window,
@@ -119,10 +118,22 @@ def dropped_mass(win, qa):
     return math.fsum(itertools.chain(below, itertools.takewhile(lambda w: w > 0.0, above)))
 
 
+def weights_outwards(ks, qa):
+    """The weights the window search sums, exp(_log_weight_sq(k, qa)), over ks
+    until they underflow."""
+    return list(itertools.takewhile(lambda w: w > 0.0, (math.exp(_log_weight_sq(k, qa)) for k in ks)))
+
+
+def search_dropped_mass(lo, hi, qa):
+    """Mass outside [lo, hi] of the weights the window search sums, each
+    dropped weight summed at once (exactly rounded)."""
+    return math.fsum(weights_outwards(range(lo - 1, 0, -1), qa) + weights_outwards(itertools.count(hi + 1), qa))
+
+
 class TestTruncationWindow:
     @given(
-        qa=st.floats(min_value=1.5, max_value=15.0),
-        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+        qa=st.floats(min_value=1.0, max_value=QA_MAX),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-13, 1e-14]),
     )
     # 1 - fsum of the kept c_n^2 reads 1.062e-12 at this draw, from rounding
     # the large weights; the dropped c_n^2 sum to 9.92e-13
@@ -136,8 +147,8 @@ class TestTruncationWindow:
 
     @pytest.mark.parametrize("qa", [12.728099596556834, 30.0])
     def test_dropped_mass_below_tolerance_near_the_threshold(self, qa):
-        # the greedy growth's running 1 - covered reads below tol here while
-        # the dropped mass is 1.0076 and 1.0117 tol
+        # a search that stopped once its running 1 - covered read below tol
+        # left a dropped mass of 1.0076 and 1.0117 tol here
         win = truncation_window(ModelParams(lambda_over_a=0.1, qa=qa))
         assert dropped_mass(win, qa) < 1e-12
 
@@ -153,18 +164,25 @@ class TestTruncationWindow:
         c = ModelParams(lambda_over_a=0.1, qa=5.0, trunc_tol=1e-6)
         assert truncation_window(c) != truncation_window(a)
 
-    @pytest.mark.parametrize("qa", [2.0, 10.0, 20.0])
-    def test_unattainable_tolerance_raises(self, qa):
-        # the weights underflow while the summed mass still falls short of
-        # 1 - tol; run apart so that a loop that never ends fails the test
-        code = f"from dirac_cyclotron.basis import _window\n_window({qa!r}, 1e-300)"
+    @pytest.mark.parametrize("qa", [2.0, 10.0, 20.0, 100.0])
+    def test_tiny_tolerance_ends(self, qa):
+        # at 1e-300 the search absorbs all but the last few weights before
+        # they underflow, and at the smallest positive tol all of them, so it
+        # drops nothing; run apart so that a loop that never ends fails the test
+        code = (
+            "import math\nfrom dirac_cyclotron.basis import _window\n"
+            f"for tol in (1e-300, math.ulp(0.0)):\n    w = _window({qa!r}, tol)\n    print(w.n_min, w.n_max)"
+        )
         env = dict(os.environ, PYTHONPATH=str(Path(dirac_cyclotron.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
         )
-        assert proc.returncode == 1
-        assert "ValueError" in proc.stderr
-        assert "trunc_tol" in proc.stderr and "qa" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        (lo, hi), (lo_all, hi_all) = [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+        assert (lo, hi) == {2.0: (1, 193), 10.0: (1, 494), 20.0: (1, 922), 100.0: (2620, 7841)}[qa]
+        assert 0.0 < search_dropped_mass(lo, hi, qa) < 1e-300
+        assert lo_all <= lo and hi <= hi_all
+        assert search_dropped_mass(lo_all, hi_all, qa) == 0.0
 
     def test_qa_above_maximum_raises(self):
         # the window search at qa = 1e7 took over 45 s before the ceiling;
@@ -178,24 +196,37 @@ class TestTruncationWindow:
         assert "ValueError: qa = 10000000.0" in proc.stderr
 
     def test_windows_of_the_search_that_resummed_every_step(self):
-        # the search keeps the dropped mass by subtracting each absorbed
-        # weight; resumming it at every step gave these same windows
-        def resummed(qa, tol):
-            lo = hi = max(1, int(math.floor(0.5 * qa**2)) + 1)
-            covered = math.exp(_log_weight_sq(lo, qa))
-            while 1.0 - covered >= tol or _dropped_mass(lo, hi, qa) >= tol:
-                w_lo = math.exp(_log_weight_sq(lo - 1, qa)) if lo > 1 else -1.0
-                w_hi = math.exp(_log_weight_sq(hi + 1, qa))
-                if w_hi >= w_lo:
-                    hi, covered = hi + 1, covered + w_hi
-                else:
-                    lo, covered = lo - 1, covered + w_lo
-            return lo, hi
-
+        # the search keeps each side's dropped mass as tail sums added
+        # smallest first; resumming the dropped weights at every step, as
+        # search_dropped_mass does, gives these same windows
         qas = [*np.linspace(1.0, 24.0, 300).tolist(), 12.728099596556834, 14.785653528916392, 23.5]
-        for qa, tol in itertools.product(qas, (1e-6, 1e-9, 1e-12)):
-            win = _window.__wrapped__(qa, tol)
-            assert (win.n_min, win.n_max) == resummed(qa, tol), (qa, tol)
+        for qa in qas:
+            peak = max(1, int(math.floor(0.5 * qa**2)) + 1)
+            # the dropped weights of [lo, hi] are below[peak - lo:] and above[hi - peak:]
+            below = weights_outwards(range(peak - 1, 0, -1), qa)
+            above = weights_outwards(itertools.count(peak + 1), qa)
+            lo = hi = peak
+            for tol in (1e-6, 1e-9, 1e-12):  # one greedy path serves every tol
+                while math.fsum(below[peak - lo:] + above[hi - peak:]) >= tol:
+                    w_lo = math.exp(_log_weight_sq(lo - 1, qa)) if lo > 1 else -1.0
+                    w_hi = math.exp(_log_weight_sq(hi + 1, qa))
+                    if w_hi >= w_lo:
+                        hi += 1
+                    else:
+                        lo -= 1
+                win = _window.__wrapped__(qa, tol)
+                assert (win.n_min, win.n_max) == (lo, hi), (qa, tol)
+
+    @pytest.mark.parametrize(
+        "qa", [*np.linspace(1.0, QA_MAX, 430).tolist(), 51.9427135678392, 61.39497487437186, 95.0]
+    )
+    def test_default_tolerance_window_has_no_spare_level(self, qa):
+        # uncached, so that 433 windows do not evict those of the level tables
+        win = _window.__wrapped__(qa, ModelParams.trunc_tol)
+        dropped = dropped_mass(win, qa)
+        assert dropped < 1e-12
+        lighter_edge = min(coherent_coefficient(n, qa) ** 2 for n in (win.n_min, win.n_max))
+        assert dropped + lighter_edge >= 1e-12
 
     def test_qa_at_maximum_has_a_window(self):
         win = truncation_window(ModelParams(lambda_over_a=0.1, qa=QA_MAX))

@@ -465,8 +465,8 @@ class TestExitCodes:
             DENSITY_MAP + "rho_max = 0\n",
             DENSITY_MAP + "n_rho = 1\n",
             DENSITY_MAP + "n_theta = 0\n",
-            "[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n"
-            "trunc_tol = 1e-17\n",
+            GOOD_CONFIG + "trunc_tol = 0\n",
+            GOOD_CONFIG + "trunc_tol = 1\n",
         ],
         ids=[
             "trunc_tol",
@@ -475,7 +475,8 @@ class TestExitCodes:
             "rho_max_zero",
             "n_rho",
             "n_theta",
-            "trunc_tol_unattainable",
+            "trunc_tol_zero",
+            "trunc_tol_one",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, config):
@@ -496,7 +497,7 @@ class TestExitCodes:
             (PHYSICS.format("timescales") + "output = velocity.csv\n", "velocity.csv"),
             (PHYSICS.format("timescales") + "output = sub/../velocity.csv\n", "velocity.csv"),
             ("[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\nbeta = 1\n"
-             "trunc_tol = 1e-17\n", "trunc_tol"),
+             "trunc_tol = 0\n", "trunc_tol must lie in (0, 1)"),
             (PHYSICS.format("spin-trace") + "t_end = 1e*T_R\n", "cannot parse time"),
             (PHYSICS.format("spin-map") + "t = nan\n", "not a finite number"),
             (PHYSICS.format("jc-velocity") + "t_end = inf\n", "not a finite number"),
@@ -522,6 +523,17 @@ class TestExitCodes:
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
         assert fragment in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_tolerance_below_the_rounding_of_the_weights_runs(self, tmp_path):
+        # 1e-17 is below what 1 - (sum of the kept weights) can resolve; the
+        # window search stops on the dropped mass, so it is reached
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG + "[timescales]\nlambda_over_a = 0.5\nqa = 10\nalpha = 1\n"
+                       "beta = 1\ntrunc_tol = 1e-17\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
+        meta = parse_provenance((tmp_path / "timescales.csv").read_text())
+        win = basis.truncation_window(ModelParams(lambda_over_a=0.5, qa=10.0, trunc_tol=1e-17))
+        assert (int(meta["window_n_min"]), int(meta["window_n_max"])) == (win.n_min, win.n_max)
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["run", "validate"])
