@@ -224,7 +224,7 @@ def truncation_window(params: ModelParams) -> TruncationWindow:
 QA_MAX = 100.0
 
 
-@functools.lru_cache(maxsize=256)
+@functools.cache  # unbounded: a window is two ints, and a cached level table keeps its instance
 def _window(qa: float, trunc_tol: float) -> TruncationWindow:
     if qa > QA_MAX:
         raise ValueError(f"qa = {qa!r} is above the supported maximum qa = {QA_MAX!r} (n0 = 5000)")

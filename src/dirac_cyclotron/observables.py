@@ -18,6 +18,24 @@ from .fields import PolarGrid
 from .spectrum import ModelParams, derived_scales, taylor_at
 
 
+# A trace series forms its level terms in (levels, tau) blocks of at most this
+# many elements: 64 KiB complex, below glibc's 128 KiB mmap threshold (README).
+_TRACE_BLOCK = 4096
+
+
+def _level_sum(tau: np.ndarray, n_levels: int, block_terms, dtype=complex) -> np.ndarray:
+    """Compensated sum, in tau's shape, of the rows of ``block_terms(blk, t)``:
+    the (levels, tau) terms of the level slice ``blk`` on the flattened tau
+    axis ``t``, added one level at a time in ascending order."""
+    t = tau.ravel()
+    acc = KahanAccumulator(np.zeros(t.shape, dtype=dtype))
+    rows = max(1, _TRACE_BLOCK // max(1, t.size))
+    for start in range(0, n_levels, rows):
+        for row in block_terms(slice(start, start + rows), t):
+            acc.add(row)
+    return acc.total.reshape(tau.shape)
+
+
 def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """(v_x, v_y) in c of the positive-band packet.
 
@@ -27,27 +45,22 @@ def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.nda
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     table = levels(params)
-    win, p, pair = table.window, table.phi, table.pair
-    a2 = params.alpha**2
-    b2 = params.beta**2
-    acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
-    for n in range(win.n_min - 1, win.n_max - 1):
-        w = pair[n] * math.sqrt((p[n + 1] - 1.0) / (2.0 * (n + 1) * p[n + 1]))
-        term = np.zeros(tau.shape, dtype=complex)
+    win, p = table.window, table.phi
+    a2, b2 = params.alpha**2, params.beta**2
+    n = np.arange(win.n_min - 1, win.n_max - 1)[:, None]  # one row per level
+    w = np.array(table.pair)[n] * np.sqrt((p[n + 1] - 1.0) / (2.0 * (n + 1) * p[n + 1]))
+    ca, fa = a2 * np.sqrt((p[n + 2] + 1.0) / p[n + 2]), 1j * (p[n + 2] - p[n + 1])
+    cb, fb = b2 * np.sqrt((p[n] + 1.0) / p[n]), 1j * (p[n + 1] - p[n])
+
+    def terms(blk, t):
+        term = np.zeros((len(n[blk]), t.size), dtype=complex)
         if a2 != 0.0:
-            term = term + (
-                a2
-                * math.sqrt((p[n + 2] + 1.0) / p[n + 2])
-                * np.exp(1j * (p[n + 2] - p[n + 1]) * tau)
-            )
+            term += ca[blk] * np.exp(fa[blk] * t)
         if b2 != 0.0:
-            term = term + (
-                b2
-                * math.sqrt((p[n] + 1.0) / p[n])
-                * np.exp(1j * (p[n + 1] - p[n]) * tau)
-            )
-        acc.add(w * term)
-    v = acc.total / (a2 + b2)
+            term += cb[blk] * np.exp(fb[blk] * t)
+        return np.multiply(w[blk], term, out=term)
+
+    v = _level_sum(tau, len(n), terms) / (a2 + b2)
     return v.real, v.imag
 
 
@@ -97,17 +110,14 @@ def mean_spin_transverse(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     table = levels(params)
-    win, p, c2 = table.window, table.phi, table.c2
-    acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
-    for m in range(win.n_min - 1, win.n_max):
-        w = c2[m + 1] * math.sqrt((p[m] + 1.0) * (p[m + 1] + 1.0) / (p[m] * p[m + 1]))
-        acc.add(w * np.exp(1j * (p[m + 1] - p[m]) * tau))
-    for m in range(win.n_min, win.n_max - 1):
-        w = c2[m + 1] * math.sqrt(
-            m * (p[m] - 1.0) * (p[m + 1] - 1.0) / ((m + 1) * p[m] * p[m + 1])
-        )
-        acc.add(w * np.exp(1j * (p[m + 1] - p[m]) * tau))
-    s = acc.total * params.alpha * params.beta / params.weight_norm**2
+    win, p, c2 = table.window, table.phi, np.array(table.c2)
+    m = np.arange(win.n_min - 1, win.n_max)
+    w = c2[m + 1] * np.sqrt((p[m] + 1.0) * (p[m + 1] + 1.0) / (p[m] * p[m + 1]))
+    k = m[1:-1]  # the second sum's levels, n_min .. n_max - 2, follow the first's
+    wk = c2[k + 1] * np.sqrt(k * (p[k] - 1.0) * (p[k + 1] - 1.0) / ((k + 1) * p[k] * p[k + 1]))
+    w, f = np.r_[w, wk][:, None], 1j * np.r_[p[m + 1] - p[m], p[k + 1] - p[k]][:, None]
+    s = _level_sum(tau, len(w), lambda blk, t: w[blk] * np.exp(f[blk] * t))
+    s = s * params.alpha * params.beta / params.weight_norm**2
     return s.real, s.imag
 
 
@@ -214,18 +224,17 @@ def mean_velocity_jc(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     phi_{n+1} + phi_n (trembling motion near 2 phi_{n0}).
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    la = params.lambda_over_a
     table = levels(params)
-    win, p, pair = table.window, table.phi, table.pair
-    acc_x = KahanAccumulator(np.zeros(tau.shape))
-    acc_y = KahanAccumulator(np.zeros(tau.shape))
-    for n in range(win.n_min, win.n_max):
-        w = pair[n - 1]
-        diff = (p[n + 1] - p[n]) * tau
-        summ = (p[n + 1] + p[n]) * tau
-        acc_x.add(w / (p[n] * p[n + 1]) * (np.cos(diff) - np.cos(summ)))
-        acc_y.add(w / p[n] * (np.sin(diff) - np.sin(summ)))
-    return la * acc_x.total, la * acc_y.total
+    win, p = table.window, table.phi
+    n = np.arange(win.n_min, win.n_max)[:, None]  # one row per level
+    w, fd, fs = np.array(table.pair)[n - 1], p[n + 1] - p[n], p[n + 1] + p[n]
+
+    def terms(wave, c):
+        return lambda blk, t: c[blk] * (wave(fd[blk] * t) - wave(fs[blk] * t))
+
+    vx = _level_sum(tau, len(n), terms(np.cos, w / (p[n] * p[n + 1])), float)
+    vy = _level_sum(tau, len(n), terms(np.sin, w / p[n]), float)
+    return params.lambda_over_a * vx, params.lambda_over_a * vy
 
 
 def mean_spin_z_jc(tau, params: ModelParams) -> np.ndarray:
@@ -235,13 +244,14 @@ def mean_spin_z_jc(tau, params: ModelParams) -> np.ndarray:
     Jaynes-Cummings ground-state population with revival time T_cl/2.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    la2 = params.lambda_over_a**2
     table = levels(params)
-    win, p, c = table.window, table.phi, table.c
-    acc = KahanAccumulator(np.zeros(tau.shape))
-    for n in range(win.n_min, win.n_max + 1):
-        acc.add(c[n] ** 2 * (1.0 + 2.0 * n * la2 * np.cos(2.0 * p[n] * tau)) / p[n] ** 2)
-    return acc.total
+    n = np.arange(table.window.n_min, table.window.n_max + 1)
+    # squares as x ** 2 takes them (libm pow), which can round apart from x * x
+    c2, p2 = (np.array([[x**2] for x in v[n].tolist()]) for v in (np.array(table.c), table.phi))
+    k, f = 2.0 * n[:, None] * params.lambda_over_a**2, 2.0 * table.phi[n, None]
+    return _level_sum(
+        tau, len(n), lambda blk, t: c2[blk] * (1.0 + k[blk] * np.cos(f[blk] * t)) / p2[blk], float
+    )
 
 
 def spin_z_plateau_jc(params: ModelParams) -> float:

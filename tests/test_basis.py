@@ -221,7 +221,7 @@ class TestTruncationWindow:
         "qa", [*np.linspace(1.0, QA_MAX, 430).tolist(), 51.9427135678392, 61.39497487437186, 95.0]
     )
     def test_default_tolerance_window_has_no_spare_level(self, qa):
-        # uncached, so that 433 windows do not evict those of the level tables
+        # uncached: the search itself, not a window an earlier test cached
         win = _window.__wrapped__(qa, ModelParams.trunc_tol)
         dropped = dropped_mass(win, qa)
         assert dropped < 1e-12
@@ -262,6 +262,16 @@ class TestLevelTable:
             assert table.c2[k].hex() == math.exp(_log_weight_sq(k, p.qa)).hex()
         for n in range(n_hi - 1):
             assert table.pair[n].hex() == math.exp(_pair_log_weight(n, p.qa)).hex()
+
+    @pytest.mark.parametrize("name", ["SET1", "SET2"])
+    def test_window_instance_survives_many_other_windows(self, name):
+        # a cached table keeps the instance that truncation_window returns,
+        # however many other windows were requested since it was built
+        p = LEVEL_SETS[name]
+        levels(p)
+        for qa in np.linspace(1.0, 24.0, 300).tolist():
+            truncation_window(ModelParams(lambda_over_a=0.1, qa=qa, trunc_tol=1e-7))
+        assert levels(p).window is truncation_window(p)
 
     def test_arrays_read_only(self):
         table = levels(LEVEL_SETS["SET1"])

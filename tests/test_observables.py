@@ -90,6 +90,67 @@ def spin_density_three_loops(rho, theta, tau, params):
     return s.real, s.imag
 
 
+# Reference: the four trace series as one loop over levels, each factor a numpy
+# call per level; the blocked series must give these bytes.
+def mean_velocity_positive_loop(tau, params):
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    table = levels(params)
+    win, p, pair = table.window, table.phi, table.pair
+    a2 = params.alpha**2
+    b2 = params.beta**2
+    acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
+    for n in range(win.n_min - 1, win.n_max - 1):
+        w = pair[n] * math.sqrt((p[n + 1] - 1.0) / (2.0 * (n + 1) * p[n + 1]))
+        term = np.zeros(tau.shape, dtype=complex)
+        if a2 != 0.0:
+            term = term + a2 * math.sqrt((p[n + 2] + 1.0) / p[n + 2]) * np.exp(1j * (p[n + 2] - p[n + 1]) * tau)
+        if b2 != 0.0:
+            term = term + b2 * math.sqrt((p[n] + 1.0) / p[n]) * np.exp(1j * (p[n + 1] - p[n]) * tau)
+        acc.add(w * term)
+    v = acc.total / (a2 + b2)
+    return v.real, v.imag
+
+
+def mean_spin_transverse_loop(tau, params):
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    table = levels(params)
+    win, p, c2 = table.window, table.phi, table.c2
+    acc = KahanAccumulator(np.zeros(tau.shape, dtype=complex))
+    for m in range(win.n_min - 1, win.n_max):
+        w = c2[m + 1] * math.sqrt((p[m] + 1.0) * (p[m + 1] + 1.0) / (p[m] * p[m + 1]))
+        acc.add(w * np.exp(1j * (p[m + 1] - p[m]) * tau))
+    for m in range(win.n_min, win.n_max - 1):
+        w = c2[m + 1] * math.sqrt(m * (p[m] - 1.0) * (p[m + 1] - 1.0) / ((m + 1) * p[m] * p[m + 1]))
+        acc.add(w * np.exp(1j * (p[m + 1] - p[m]) * tau))
+    s = acc.total * params.alpha * params.beta / params.weight_norm**2
+    return s.real, s.imag
+
+
+def mean_velocity_jc_loop(tau, params):
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    table = levels(params)
+    win, p, pair = table.window, table.phi, table.pair
+    acc_x = KahanAccumulator(np.zeros(tau.shape))
+    acc_y = KahanAccumulator(np.zeros(tau.shape))
+    for n in range(win.n_min, win.n_max):
+        diff = (p[n + 1] - p[n]) * tau
+        summ = (p[n + 1] + p[n]) * tau
+        acc_x.add(pair[n - 1] / (p[n] * p[n + 1]) * (np.cos(diff) - np.cos(summ)))
+        acc_y.add(pair[n - 1] / p[n] * (np.sin(diff) - np.sin(summ)))
+    return params.lambda_over_a * acc_x.total, params.lambda_over_a * acc_y.total
+
+
+def mean_spin_z_jc_loop(tau, params):
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    la2 = params.lambda_over_a**2
+    table = levels(params)
+    win, p, c = table.window, table.phi, table.c
+    acc = KahanAccumulator(np.zeros(tau.shape))
+    for n in range(win.n_min, win.n_max + 1):
+        acc.add(c[n] ** 2 * (1.0 + 2.0 * n * la2 * np.cos(2.0 * p[n] * tau)) / p[n] ** 2)
+    return acc.total
+
+
 class TestMeanVelocityPositive:
     def test_initial_direction(self, set1):
         vx, vy = mean_velocity_positive(0.0, set1)
@@ -271,16 +332,37 @@ class TestTwoBandTraces:
         assert abs(float(np.mean(sz)) - spin_z_plateau_jc(set2)) < 0.01
 
 
+TRACES = [mean_velocity_positive, mean_spin_transverse, mean_velocity_jc, mean_spin_z_jc]
+LOOPS = {
+    mean_velocity_positive: mean_velocity_positive_loop,
+    mean_spin_transverse: mean_spin_transverse_loop,
+    mean_velocity_jc: mean_velocity_jc_loop,
+    mean_spin_z_jc: mean_spin_z_jc_loop,
+}
+
+# packets that reach every branch of the trace series: windows start at
+# n_min = 1 (SET1, qa = 6) and n_min = 10 (SET2, qa = 10), and alpha = 0 or
+# beta = 0 leaves out one bracket of mean_velocity_positive; at lambda/a = 0.75
+# one c_k ** 2 (qa = 6) and one phi_n ** 2 (both) round apart from x * x
+TRACE_PACKETS = {
+    "set1": ModelParams(lambda_over_a=0.1, qa=5.0),
+    "set2": ModelParams(lambda_over_a=0.5, qa=10.0),
+    "qa6_alpha0": ModelParams(lambda_over_a=0.75, qa=6.0, alpha=0.0, beta=1.0),
+    "qa10_beta0": ModelParams(lambda_over_a=0.75, qa=10.0, alpha=1.0, beta=0.0),
+}
+
+
+def components(out) -> tuple[np.ndarray, ...]:
+    return out if isinstance(out, tuple) else (out,)
+
+
 class TestWholeAxisTraces:
     """One call over a tau array gives the same bits as one call per tau."""
 
     @pytest.mark.parametrize("set_name", ["set1", "set2"])
-    @pytest.mark.parametrize(
-        "trace",
-        [mean_velocity_positive, mean_spin_transverse, mean_velocity_jc, mean_spin_z_jc],
-        ids=lambda f: f.__name__,
-    )
+    @pytest.mark.parametrize("trace", TRACES, ids=lambda f: f.__name__)
     def test_bitwise_equal_to_per_tau_calls(self, trace, set_name, request):
+        # 5000 tau form one level per block; one tau forms the whole window in one
         params = request.getfixturevalue(set_name)
         taus = np.linspace(0.0, 1.5 * derived_scales(params).T_R, 5000)
         whole = np.asarray(trace(taus, params))
@@ -288,7 +370,30 @@ class TestWholeAxisTraces:
             [np.asarray(trace(t, params)) for t in taus.tolist()], axis=-1
         )
         assert whole.shape == per_tau.shape
-        assert np.array_equal(whole, per_tau)
+        assert whole.tobytes() == per_tau.tobytes()
+
+    @pytest.mark.parametrize("packet", TRACE_PACKETS)
+    @pytest.mark.parametrize("trace", TRACES, ids=lambda f: f.__name__)
+    def test_bytes_of_the_level_loop_for_every_block_size(self, trace, packet, monkeypatch):
+        # at 512 tau, 1 and 7 elements give one level per block, 7 * 512 seven
+        # levels and a shorter last block, 10**9 the whole window in one block
+        params = TRACE_PACKETS[packet]
+        taus = np.linspace(-0.2, 1.5, 512) * derived_scales(params).T_R
+        want = np.asarray(LOOPS[trace](taus, params)).tobytes()
+        for block in (observables._TRACE_BLOCK, 1, 7, 7 * 512, 10**9):
+            monkeypatch.setattr(observables, "_TRACE_BLOCK", block)
+            assert np.asarray(trace(taus, params)).tobytes() == want, block
+
+    @pytest.mark.parametrize("packet", TRACE_PACKETS)
+    @pytest.mark.parametrize("trace", TRACES, ids=lambda f: f.__name__)
+    def test_2d_tau_gives_its_ravel_reshaped(self, trace, packet):
+        params = TRACE_PACKETS[packet]
+        taus = np.linspace(0.0, derived_scales(params).T_R, 600).reshape(20, 30)
+        for tau in (taus, taus.T):
+            flat = components(trace(tau.ravel(), params))
+            for got, want in zip(components(trace(tau, params)), flat, strict=True):
+                assert got.shape == tau.shape
+                assert got.tobytes() == want.reshape(tau.shape).tobytes()
 
 
 class TestWeightOwner:
