@@ -451,7 +451,8 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
 
     Returns (rows, all_ok); each row is (check, max_abs_deviation, threshold,
     status).  All comparisons are deterministic (fixed seed, ordered sums).
-    The oracle sweeps run on a pool of ``threads`` workers (ValueError below 1).
+    The oracle sweeps run on a pool of ``threads`` workers (ValueError below 1),
+    their slices submitted in descending work, taus x grid points x mode-set entries.
     """
     rng = np.random.default_rng(VALIDATE_SEED)
     n_field_times = 2 if quick else 5
@@ -497,10 +498,10 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
         fields = sample_mode_sum(grid, part, modes, params)
         return values((fields.pop(0) for _ in part), part)
 
-    # (grid, mode set, params, taus, per-tau values) of each oracle sweep, the
-    # largest first: observables vs grid quadrature (one oracle field per tau
-    # serves every observable of the packet), fields vs mode sums, and the
-    # conservation of the positive packet's norm and <sigma_z>
+    # (grid, mode set, params, taus, per-tau values) of each oracle sweep, in
+    # descending work per slice (taus x grid points x mode-set entries): the
+    # observables vs grid quadrature (one oracle field per tau serves them all),
+    # the positive packet's norm and <sigma_z> conservation, fields vs mode sums
     sweeps = [
         (quad_grid2, mode_jc, SET2, taus2, quadrature_devs(
             SET2, (mean_velocity_jc, ("velocity_x", "velocity_y")),
@@ -508,10 +509,10 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
         (quad_grid1, mode_pos, SET1, taus1, quadrature_devs(
             SET1, (mean_velocity_positive, ("velocity_x", "velocity_y")),
             (mean_spin_transverse, ("sigma_x", "sigma_y")))),
-        (field_grid1, mode_pos, SET1, field_times1, field_dev(positive_energy_field, SET1)),
-        (field_grid2, mode_jc, SET2, field_times2, field_dev(jc_field, SET2)),
         (quad_grid1, mode_pos, SET1, cons_times, lambda fields, _: [
             (f.norm, quadrature_expectation("sigma_z", f, SET1)) for f in fields]),
+        (field_grid2, mode_jc, SET2, field_times2, field_dev(jc_field, SET2)),
+        (field_grid1, mode_pos, SET1, field_times1, field_dev(positive_energy_field, SET1)),
     ]
     # One task per slice, in sweep and tau order, all submitted before any
     # result is read, so the kernel check overlaps the pool work.  Each task
@@ -529,7 +530,7 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
                        for k in range(6) for x, y in pts]
 
         # per sweep, one tuple of per-tau values for each deviation column
-        (vj, sj), (vp, sp), (fp,), (fj,), (norms, sz) = (
+        (vj, sj), (vp, sp), (norms, sz), (fj,), (fp,) = (
             tuple(zip(*(row for future in sweep for row in future.result()), strict=True))
             for sweep in futures
         )
@@ -601,6 +602,9 @@ def main(argv=None) -> int:
         return 1
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: numeric: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

@@ -565,6 +565,19 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "velocity.csv").exists()
 
+    def test_out_of_memory_is_two(self, tmp_path, capsys, monkeypatch):
+        # an oversized n_samples or grid fails its allocation; raised here
+        # by the series itself, so nothing large is allocated
+        def oversized(tau, params):
+            raise MemoryError("Unable to allocate 7.45 TiB")
+
+        monkeypatch.setattr(cli, "mean_velocity_positive", oversized)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "error: numeric: out of memory: Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "velocity.csv").exists()
+
     def test_non_finite_map_payload_is_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "spin_density", fake_spin_density(np.inf))
         cfg = tmp_path / "run.cfg"
@@ -641,20 +654,25 @@ class TestValidation:
         # two slices of each velocity/spin sweep, one of each other sweep
         assert len(submitted) == tasks
 
-    def test_largest_sweep_slices_go_first(self, monkeypatch):
+    # quick: 3-tau quadrature slices on 60x128, 2-tau conservation and field
+    # slices; full: 5-tau quadrature slices on 120x256, 4 conservation taus
+    @pytest.mark.parametrize("quick, taus", [(True, [2, 2, 2, 3, 3]),
+                                             (False, [4, 5, 5, 5, 5, 5, 5])], ids=["quick", "full"])
+    def test_largest_sweep_slices_go_first(self, monkeypatch, quick, taus):
         calls = []
 
         def recording_sample(grid, tau, modes, params):
-            calls.append((params, grid.n_rho * grid.n_theta, np.size(tau)))
+            calls.append((np.size(tau), np.size(tau) * grid.n_rho * grid.n_theta * len(modes.entries)))
             return oracle.sample_mode_sum(grid, tau, modes, params)
 
         monkeypatch.setattr(cli, "sample_mode_sum", recording_sample)
-        rows, ok = validation_report()
+        rows, ok = validation_report(quick=quick, threads=1)
         assert ok
-        # on one worker the tasks run in the order they are submitted: the
-        # two SET2 slices on the 120x256 quadrature grid first
-        assert calls[:2] == [(cli.SET2, 120 * 256, 5)] * 2
-        assert (cli.SET2, 120 * 256, 5) not in calls[2:]
+        # on one worker the tasks run in the order they are submitted:
+        # descending work, taus x grid points x mode-set entries
+        work = [w for _, w in calls]
+        assert work == sorted(work, reverse=True)
+        assert sorted(n for n, _ in calls) == taus
 
     def test_pool_task_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -675,19 +693,6 @@ class TestValidation:
         # for the conservation sweep
         assert sorted(points) == sorted([3200] * 2 + ([3276] * 9 + [1236]) * 4 + [4096] * 7 + [2048])
         assert max(points) <= basis._BLOCK_POINTS // 4
-
-    def test_oracle_calls_get_at_most_five_taus(self, monkeypatch):
-        taus_per_call = []
-
-        def recording_sample(grid, tau, *args):
-            taus_per_call.append(np.size(tau))
-            return oracle.sample_mode_sum(grid, tau, *args)
-
-        monkeypatch.setattr(cli, "sample_mode_sum", recording_sample)
-        rows, ok = validation_report()
-        assert ok
-        assert max(taus_per_call) == 5
-        assert sorted(taus_per_call) == [4, 5, 5, 5, 5, 5, 5]
 
     def test_closed_forms_called_once_per_slice(self, monkeypatch):
         calls = {}
