@@ -131,6 +131,14 @@ def coherent_coefficient(n: int, qa: float) -> float:
     return sign * math.exp(log_mag)
 
 
+def _kernel_frame(x, y, params: ModelParams):
+    """u = (y - qa) - i x and the Gaussian exponent of the kernels Q_k at (x, y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    qa = params.qa
+    return (y - qa) - 1j * x, (2j * x * (y + qa) - x**2 - (y - qa) ** 2) / 4.0
+
+
 def q_kernel(k: int, x, y, params: ModelParams):
     """Closed form of the p-integrated kernel Q_k at (x, y) (lengths in a).
 
@@ -142,11 +150,7 @@ def q_kernel(k: int, x, y, params: ModelParams):
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    qa = params.qa
-    u = (y - qa) - 1j * x
-    expo = (2j * x * (y + qa) - x**2 - (y - qa) ** 2) / 4.0
+    u, expo = _kernel_frame(x, y, params)
     log_norm = -0.5 * ((k + 1) * math.log(2.0) + math.lgamma(k + 1) + math.log(math.pi))
     # u^k in log-magnitude + phase form to keep large k stable; u = 0 gives
     # 0^k via log 0 = -inf, with k = 0 apart as 0 * log 0 is NaN
@@ -161,11 +165,7 @@ def q_kernel_walk(k_max: int, x, y, params: ModelParams):
     """Yield Q_0 .. Q_{k_max} at (x, y) via the ratio recurrence, as one buffer
     stepped in place (``* u``, then ``/ sqrt(2k)``): a caller reads or copies
     Q_k before it asks for the next order."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    qa = params.qa
-    u = (y - qa) - 1j * x
-    expo = (2j * x * (y + qa) - x**2 - (y - qa) ** 2) / 4.0
+    u, expo = _kernel_frame(x, y, params)
     q = np.asarray(np.exp(expo) / math.sqrt(2.0 * math.pi))
     yield q
     for k in range(1, k_max + 1):
@@ -313,9 +313,6 @@ class ModeSet:
     @property
     def n_max(self) -> int:
         return max(idx.n for idx, _ in self.entries)
-
-    def norm_sq(self) -> float:
-        return float_kahan_sum(abs(a) ** 2 for _, a in self.entries)
 
 
 MODE_SET_KINDS = ("positive_only", "two_band", "cat_plus", "cat_minus")

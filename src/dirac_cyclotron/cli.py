@@ -367,6 +367,12 @@ def _fractional(scn: Scenario):
         raise ConfigError(f"fractional revivals are supported for 1 <= n <= 8, got n = {n}")
     if math.gcd(m, n) != 1:
         raise ConfigError(f"m/n = {m}/{n} is not an irreducible fraction")
+    # the classical packet's norm in closed form; its sub-packets need it near 1
+    la, qa, al, be = params.lambda_over_a, params.qa, params.alpha, params.beta
+    norm = 1.0 + la**2 * (be**2 * qa**2 + al**2 * (qa**2 + 2.0)) / (4.0 * (al**2 + be**2))
+    if norm - 1.0 > 0.1:
+        raise ConfigError(f"fractional revivals need a classical packet norm N <= 1.1, got "
+                          f"N = {norm:.6g} at lambda_over_a = {la}, qa = {qa}")
     tau = resolve_time(scn.values.get("t", f"{m / n}*T_R"), scales)
     header += [("m", str(m)), ("n", str(n)), ("t", fmt(tau))]
 

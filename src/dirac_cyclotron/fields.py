@@ -112,8 +112,8 @@ def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.nda
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     qa, al, be = params.qa, params.alpha, params.beta
-    w = -0.5 * qa * rho * np.exp(-1j * theta)  # gamma * e^{-i theta}
     e_mth = np.exp(-1j * theta)
+    w = -0.5 * qa * rho * e_mth  # gamma * e^{-i theta}
 
     # per level k: the weights and phase of Landau index k (components 1 and
     # 4), then of n = k - 1 (components 2 and 3); each phase is built once
@@ -158,35 +158,31 @@ def classical_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    psi = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
-    env, e_mth = envelope_prefactor(rho, theta, params), np.exp(-1j * theta)
-    outs = [psi[i, ...] for i in range(4)]  # arrays, also for a point
-    for _ in _classical_components(env, e_mth, rho, theta, tau, params, outs):
-        pass
+    pref = _classical_prefactor(envelope_prefactor(rho, theta, params), rho, theta, tau, params)
+    psi = np.empty((4,) + pref.shape, dtype=complex)
+    for i, factor in enumerate(_spin_factors(rho, theta, params)(tau)):
+        np.multiply(factor, pref, out=psi[i, ...])  # an array, also for a point
     return psi
 
 
-def _classical_components(env, e_mth, rho, theta, tau: float, params: ModelParams, outs):
-    """Yield the four components of ``classical_field`` at ``tau`` in order,
-    component i formed in ``outs[i]`` by the operations of its expression in
-    their order; ``env`` is the envelope prefactor and ``e_mth`` exp(-i theta)
-    at (rho, theta).
-
-    A component is formed only once the one before it has been read, so one
-    buffer may stand in every slot of ``outs``.
-    """
-    qa, la = params.qa, params.lambda_over_a
-    al, be = params.alpha, params.beta
+def _classical_prefactor(env, rho, theta, tau: float, params: ModelParams) -> np.ndarray:
+    """The classical packet's rotation x ``env`` (the envelope prefactor) x global
+    phase / weight_norm at ``tau``, formed in place: an array, also for a point."""
     phi0, dp, _ = taylor_at(params.n0, params)
-    # the rotation, then env * rotation * global phase / weight_norm, in place
-    pref = np.asarray(np.exp(-0.5 * qa * rho * np.exp(-1j * (theta + dp * tau))))
+    pref = np.asarray(np.exp(-0.5 * params.qa * rho * np.exp(-1j * (theta + dp * tau))))
     np.multiply(env, pref, out=pref)
     np.multiply(pref, np.exp(-1j * (phi0 + (1.0 - params.n0) * dp) * tau), out=pref)
-    np.divide(pref, params.weight_norm, out=pref)
-    for out, scale in zip(outs, (al, be * np.exp(1j * dp * tau), be * 0.5 * qa * la)):
-        yield np.multiply(scale, pref, out=out)
-    np.multiply(-al * 0.5 * la * rho, e_mth, out=outs[3])
-    yield np.multiply(outs[3], pref, out=outs[3])
+    return np.divide(pref, params.weight_norm, out=pref)
+
+
+def _spin_factors(rho, theta, params: ModelParams):
+    """The classical packet's four spin factors as a function of tau: alpha,
+    beta e^{i phi' tau}, beta qa lambda/2a and -alpha (lambda/2a) rho e^{-i theta},
+    the last formed once here.  Component i is factor_i x prefactor."""
+    _, dp, _ = taylor_at(params.n0, params)
+    al, be, la = params.alpha, params.beta, params.lambda_over_a
+    last = np.multiply(-al * 0.5 * la * rho, np.exp(-1j * theta))
+    return lambda tau: (al, be * np.exp(1j * dp * tau), be * 0.5 * params.qa * la, last)
 
 
 def classical_density(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
@@ -247,12 +243,14 @@ def fractional_revival_field(
     theta = np.asarray(theta, dtype=float)
 
     def add_terms(term, sums, rho_b, theta_b):
-        env, e_mth = envelope_prefactor(rho_b, theta_b, params), np.exp(-1j * theta_b)
+        env = envelope_prefactor(rho_b, theta_b, params)
+        factors_at = _spin_factors(rho_b, theta_b, params)
         for j in range(period):
-            components = _classical_components(
-                env, e_mth, rho_b, theta_b, tau + j * t_cl / period, params, [term] * 4)
-            for acc, component in zip(sums, components, strict=True):
-                acc.add(np.multiply(p[j], component, out=term))
+            t = tau + j * t_cl / period
+            pref = _classical_prefactor(env, rho_b, theta_b, t, params)
+            for acc, factor in zip(sums, factors_at(t), strict=True):
+                acc.add(np.multiply(p[j], np.multiply(factor, pref, out=term), out=term))
+            del pref  # so the next sub-packet's prefactor is formed without it
 
     out = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
     block_sums(out, add_terms, rho, theta)
@@ -270,7 +268,8 @@ def jc_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     qa, la = params.qa, params.lambda_over_a
-    w = -0.5 * qa * rho * np.exp(-1j * theta)
+    e_mth = np.exp(-1j * theta)
+    w = -0.5 * qa * rho * e_mth
 
     n_start = max(1, win.n_min)
     series = []  # per level n: the weights of its two sums at tau
@@ -290,7 +289,7 @@ def jc_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
     block_sums(psi[::3], add_terms, w)  # the two sums go to components 1 and 4
     pref = envelope_prefactor(rho, theta, params)
     psi[0] = pref * psi[0]
-    psi[3] = pref * 1j * la * rho * np.exp(-1j * theta) * psi[3]
+    psi[3] = pref * 1j * la * rho * e_mth * psi[3]
     return psi
 
 

@@ -130,15 +130,11 @@ class OracleField:
 
 
 def sample_mode_sum(
-    grid: PolarGrid,
-    tau,
-    mode_set: ModeSet,
-    params: ModelParams,
-    spectrum_variant: str = "exact",
+    grid: PolarGrid, tau, mode_set: ModeSet, params: ModelParams
 ) -> OracleField | list[OracleField]:
     """The mode sum on ``grid.mesh()``: one read-only ``OracleField`` for a
     scalar tau, a list of one per tau for a 1-D axis."""
-    samples = mode_sum_field(*grid.mesh(), tau, mode_set, params, spectrum_variant)
+    samples = mode_sum_field(*grid.mesh(), tau, mode_set, params)
     samples.flags.writeable = False
     if samples.ndim == 3:
         return OracleField(grid=grid, samples=samples)

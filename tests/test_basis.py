@@ -307,7 +307,7 @@ class TestModeSets:
     def test_normalized(self, kind):
         p = ModelParams(lambda_over_a=0.5, qa=10.0)
         ms = build_mode_set(kind, p)
-        assert ms.norm_sq() == pytest.approx(1.0, abs=1e-9)
+        assert float_kahan_sum(abs(a) ** 2 for _, a in ms.entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_entries_sorted_by_level(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)
@@ -327,7 +327,7 @@ class TestModeSets:
         p = ModelParams(lambda_over_a=0.1, qa=5.0, alpha=1.0, beta=0.0)
         ms = build_mode_set("positive_only", p)
         assert all(idx.lambda_k == +1 for idx, _ in ms.entries)
-        assert ms.norm_sq() == pytest.approx(1.0, abs=1e-9)
+        assert float_kahan_sum(abs(a) ** 2 for _, a in ms.entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_cat_components_recombine_to_two_band(self):
         # d0 * cat_plus + b0 * cat_minus must reproduce the two-band packet

@@ -510,12 +510,16 @@ class TestExitCodes:
             (PHYSICS.format("timescales").replace("qa = 5", "qa = 1e8"), "qa = 100000000.0"),
             (PHYSICS.format("velocity") + "t_end = T_cl\nn_samples = 1\n", "n_samples must be >= 2"),
             (DENSITY_MAP + "spectrum = taylor3\n", "unknown spectrum"),
+            (PHYSICS.format("fractional").replace("0.1", "0.5").replace("qa = 5", "qa = 10")
+             + "m = 1\nn = 3\n", "N = 7.3125 at lambda_over_a = 0.5, qa = 10.0"),
+            (PHYSICS.format("fractional").replace("0.1", "0.05").replace("qa = 5", "qa = 20")
+             + "m = 1\nn = 3\n", "N = 1.25063 at lambda_over_a = 0.05, qa = 20.0"),
         ],
         ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
              "duplicate_resolved_output", "trunc_tol", "t_end_multiplier", "t_nan",
              "t_end_inf", "missing_dir", "qa_below_one", "lambda_over_a_underflow",
              "T_R_overflow", "lambda_over_a_overflow", "qa_above_maximum", "n_samples",
-             "spectrum"],
+             "spectrum", "fractional_set2_norm", "fractional_qa20_norm"],
     )
     def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
         cfg = tmp_path / "run.cfg"

@@ -231,6 +231,8 @@ MAP_KERNELS = {
     "jc_spinor": lambda r, t, tau, p: (jc_field(r, t, tau, p),),
     "classical_field": lambda r, t, tau, p: (classical_field(r, t, tau, p),),
     "fractional_1_3": lambda r, t, tau, p: (fractional_revival_field(r, t, tau, 1, 3, p),),
+    # period 7, the most sub-packets of any n <= 8
+    "fractional_2_7": lambda r, t, tau, p: (fractional_revival_field(r, t, tau, 2, 7, p),),
     "mode_sum_taylor2": lambda r, t, tau, p: (
         mode_sum_field(r, t, tau, build_mode_set("positive_only", p), p, "taylor2"),
     ),
@@ -271,6 +273,8 @@ MAP_SHA256 = {
     ("classical_field", 131, 257): "9624a5b837497a543cdb07b714d6fd473898bed61b95db9a22d890d1d4bc73ba",
     ("fractional_1_3", 120, 256): "ffc45c9cafa72afad8ed58414e26f6a2354ec88aac8482c762ff9e87ad82316c",
     ("fractional_1_3", 131, 257): "abef6e5ab556be5081dfb59b506f8abd5d581a769cfd9608f891476e39f6de81",
+    ("fractional_2_7", 120, 256): "34eb8ecbff3e2fc39844f412a86b2d9f3575db6e6cc486084b0d20a7da6a194d",
+    ("fractional_2_7", 131, 257): "6b6899df051d1064193fb8746e9750d7656db979d78bba59418a68ad1b74988b",
     ("mode_sum_taylor2", 120, 256): "2002814262dd0fb492ab0a23cef1ae5d7350f406b6cf05575a5795192f9ab792",
     ("mode_sum_taylor2", 131, 257): "96d0602299a0bfad231294c631814b52814aa68688fd7f90070cfe61120fd32e",
 }
