@@ -17,7 +17,6 @@ import math
 import re
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -448,8 +447,29 @@ SET2 = ModelParams(lambda_over_a=0.5, qa=10.0)
 VALIDATE_SEED = 20260825
 # Taus per oracle call of a validate sweep, and per pool task: a task holds
 # one slice's fields rather than a whole sweep's, and the slices of one
-# sweep can run on different threads.
+# sweep can run on different workers.
 _SLICE_TAUS = 5
+
+# a validate worker's sweeps, set once in each worker by _init_worker
+_SWEEPS: list[tuple] = []
+
+
+def _init_worker(sweeps: list[tuple]) -> None:
+    """Hand a forked worker the report's sweeps, closures included; under
+    fork they are inherited, not pickled."""
+    global _SWEEPS
+    _SWEEPS = sweeps
+
+
+def _slice_task(sweep: int, start: int) -> list[tuple]:
+    """Per tau of one sweep's slice from ``start``, one tuple from its
+    ``values(fields, part)``; ``fields`` yields the oracle fields in tau
+    order, each (with the conjugate its quadratures cache) dropped once the
+    next is read."""
+    grid, modes, params, taus, values = _SWEEPS[sweep]
+    part = taus[start:start + _SLICE_TAUS]
+    fields = sample_mode_sum(grid, part, modes, params)
+    return values((fields.pop(0) for _ in part), part)
 
 
 def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple], bool]:
@@ -457,8 +477,9 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
 
     Returns (rows, all_ok); each row is (check, max_abs_deviation, threshold,
     status).  All comparisons are deterministic (fixed seed, ordered sums).
-    The oracle sweeps run on a pool of ``threads`` workers (ValueError below 1),
-    their slices submitted in descending work, taus x grid points x mode-set entries.
+    The oracle sweeps run on ``threads`` worker processes forked from the
+    caller (ValueError below 1), their slices submitted in descending work,
+    taus x grid points x mode-set entries.
     """
     rng = np.random.default_rng(VALIDATE_SEED)
     n_field_times = 2 if quick else 5
@@ -497,13 +518,6 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     taus1, taus2 = (rng.uniform(0.0, 0.5 * sc.T_R, n_obs_times).tolist() for sc in (sc1, sc2))
     cons_times = [0.0, sc1.T_D, 0.25 * sc1.T_R, 0.5 * sc1.T_R][: 2 if quick else 4]
 
-    def task(grid, modes, params, part, values) -> list[tuple]:
-        """Per tau of the slice ``part``, one tuple from ``values(fields, part)``;
-        ``fields`` yields the oracle fields in tau order, each (with the
-        conjugate its quadratures cache) dropped once the next is read."""
-        fields = sample_mode_sum(grid, part, modes, params)
-        return values((fields.pop(0) for _ in part), part)
-
     # (grid, mode set, params, taus, per-tau values) of each oracle sweep, in
     # descending work per slice (taus x grid points x mode-set entries): the
     # observables vs grid quadrature (one oracle field per tau serves them all),
@@ -520,15 +534,24 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
         (field_grid2, mode_jc, SET2, field_times2, field_dev(jc_field, SET2)),
         (field_grid1, mode_pos, SET1, field_times1, field_dev(positive_energy_field, SET1)),
     ]
-    # One task per slice, in sweep and tau order, all submitted before any
-    # result is read, so the kernel check overlaps the pool work.  Each task
-    # is deterministic, so the rows do not depend on the schedule.
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [[pool.submit(task, grid, modes, params, taus[start:start + _SLICE_TAUS], values)
-                    for start in range(0, len(taus), _SLICE_TAUS)]
-                   for grid, modes, params, taus, values in sweeps]
+    # imported here, not at the top: the process machinery takes about 11 ms
+    # to import, and only validate uses a pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        # numeric p-integral vs closed-form kernel, on this thread
+    # One task per slice, in sweep and tau order, all submitted before any
+    # result is read, so the kernel check overlaps the pool work.  The
+    # workers fork at the first submit and inherit the sweeps; a task is
+    # sent as (sweep index, slice start) and returns its per-tau float
+    # tuples.  Each task is deterministic, so the rows do not depend on the
+    # schedule.
+    with ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(sweeps,)) as pool:
+        futures = [[pool.submit(_slice_task, index, start)
+                    for start in range(0, len(taus), _SLICE_TAUS)]
+                   for index, (_, _, _, taus, _) in enumerate(sweeps)]
+
+        # numeric p-integral vs closed-form kernel, on this process
         pts = [(0.0, SET1.qa), (1.0, SET1.qa), (-2.0, SET1.qa + 1.0), (0.5, SET1.qa - 2.0),
                (3.0, SET1.qa + 3.0), (-1.5, SET1.qa - 1.0), (2.0, SET1.qa),
                (0.0, SET1.qa + 2.0), (-3.0, SET1.qa - 3.0)]

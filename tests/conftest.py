@@ -1,5 +1,8 @@
 """Shared fixtures and the acceptance-criteria summary reporter."""
 
+import json
+import os
+
 import pytest
 
 from dirac_cyclotron import ModelParams, oracle
@@ -42,3 +45,29 @@ def kernel_walks(monkeypatch) -> list[list[int]]:
 
     monkeypatch.setattr(oracle, "q_kernel_walk", recording_walk)
     return walks
+
+
+class WorkerLog:
+    """An append-only record that a test and the worker processes it forks
+    share: each entry is one JSON line, appended in one write, so entries
+    from concurrent workers do not interleave.  Tuples read back as lists."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_bytes(b"")
+
+    def append(self, entry) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (json.dumps(entry) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def entries(self) -> list:
+        return [json.loads(line) for line in self.path.read_text().splitlines()]
+
+
+@pytest.fixture
+def worker_log(tmp_path) -> WorkerLog:
+    """What a recorder patched in before a pool forks appends in its workers."""
+    return WorkerLog(tmp_path / "worker-log.jsonl")

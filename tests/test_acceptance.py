@@ -379,7 +379,7 @@ def test_criterion_12_determinism(tmp_path):
     ok = payloads[0] == payloads[1]
     _report(
         12,
-        "threaded determinism",
+        "determinism across worker counts",
         ok,
         f"validate payloads --threads 1 vs 8: "
         f"{'byte-identical' if ok else 'DIFFER'} ({len(payloads[0])} bytes)",

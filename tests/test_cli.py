@@ -1,10 +1,13 @@
 """Config parsing, artifact provenance, scenario execution and exit codes."""
 
+import concurrent.futures
+import functools
 import hashlib
 import itertools
 import math
+import multiprocessing
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import _RemoteTraceback
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_cyclotron import ModelParams, PolarGrid, __version__, basis, cli, derived_scales, oracle
+from dirac_cyclotron.basis import q_kernel_walk
 from dirac_cyclotron.cli import (
     ConfigError,
     Scenario,
@@ -628,16 +632,21 @@ class TestValidation:
     @pytest.mark.parametrize("threads, pools", [(1, 1), (2, 1), (3, 1)])
     def test_one_pool_for_the_whole_report(self, monkeypatch, threads, pools):
         made = []
+        process_pool = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
             made.append(kwargs)
-            return ThreadPoolExecutor(*args, **kwargs)
+            return process_pool(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", counting_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         rows, ok = validation_report(quick=True, threads=threads)
         assert ok
         assert len(made) == pools
-        assert all(kw == {"max_workers": threads} for kw in made)
+        # N forked workers, handed the sweeps once by the initializer
+        assert all(kw.keys() == {"max_workers", "mp_context", "initializer", "initargs"}
+                   and kw["max_workers"] == threads
+                   and kw["mp_context"].get_start_method() == "fork"
+                   and kw["initializer"] is cli._init_worker for kw in made)
 
     def test_no_thread_is_a_pool_error(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -647,26 +656,26 @@ class TestValidation:
     def test_one_pool_task_per_slice(self, monkeypatch, quick, tasks):
         submitted = []
 
-        class CountingPool(ThreadPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def submit(self, fn, *args, **kwargs):
-                submitted.append(fn)
+                submitted.append((fn, args))
                 return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         rows, ok = validation_report(quick=quick, threads=2)
         assert ok
-        # two slices of each velocity/spin sweep, one of each other sweep
+        # two slices of each velocity/spin sweep, one of each other sweep,
+        # each sent as (sweep index, slice start)
         assert len(submitted) == tasks
+        assert all(fn is cli._slice_task and len(args) == 2 for fn, args in submitted)
 
     # quick: 3-tau quadrature slices on 60x128, 2-tau conservation and field
     # slices; full: 5-tau quadrature slices on 120x256, 4 conservation taus
     @pytest.mark.parametrize("quick, taus", [(True, [2, 2, 2, 3, 3]),
                                              (False, [4, 5, 5, 5, 5, 5, 5])], ids=["quick", "full"])
-    def test_largest_sweep_slices_go_first(self, monkeypatch, quick, taus):
-        calls = []
-
+    def test_largest_sweep_slices_go_first(self, monkeypatch, worker_log, quick, taus):
         def recording_sample(grid, tau, modes, params):
-            calls.append((np.size(tau), np.size(tau) * grid.n_rho * grid.n_theta * len(modes.entries)))
+            worker_log.append((np.size(tau), np.size(tau) * grid.n_rho * grid.n_theta * len(modes.entries)))
             return oracle.sample_mode_sum(grid, tau, modes, params)
 
         monkeypatch.setattr(cli, "sample_mode_sum", recording_sample)
@@ -674,6 +683,7 @@ class TestValidation:
         assert ok
         # on one worker the tasks run in the order they are submitted:
         # descending work, taus x grid points x mode-set entries
+        calls = worker_log.entries()
         work = [w for _, w in calls]
         assert work == sorted(work, reverse=True)
         assert sorted(n for n, _ in calls) == taus
@@ -683,13 +693,38 @@ class TestValidation:
             raise RuntimeError("mode sum failed")
 
         monkeypatch.setattr(cli, "sample_mode_sum", broken)
-        with pytest.raises(RuntimeError, match="mode sum failed"):
+        with pytest.raises(RuntimeError, match="mode sum failed") as raised:
             validation_report(quick=True, threads=2)
+        # raised in a worker and re-raised here with the worker's traceback
+        assert isinstance(raised.value.__cause__, _RemoteTraceback)
 
-    def test_no_kernel_walk_exceeds_one_block(self, kernel_walks):
+    @pytest.mark.parametrize("outcome, code", [("passes", 0), ("fails", 2), ("raises", 2)])
+    def test_no_worker_outlives_validate(self, tmp_path, capsys, monkeypatch, outcome, code):
+        def nan_velocity(tau, params):
+            tau = np.atleast_1d(tau)
+            return np.full(tau.shape, np.nan), np.zeros(tau.shape)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("mode sum failed")
+
+        if outcome == "fails":
+            monkeypatch.setattr(cli, "mean_velocity_positive", nan_velocity)
+        elif outcome == "raises":
+            monkeypatch.setattr(cli, "sample_mode_sum", broken)
+        assert multiprocessing.active_children() == []
+        argv = ["validate", "--quick", "--threads", "2", "--out", str(tmp_path), "--no-timestamp"]
+        assert main(argv) == code
+        assert multiprocessing.active_children() == []
+
+    def test_no_kernel_walk_exceeds_one_block(self, monkeypatch, worker_log):
+        def recording_walk(k_max, x, y, params):
+            worker_log.append(x.size)
+            return q_kernel_walk(k_max, x, y, params)
+
+        monkeypatch.setattr(oracle, "q_kernel_walk", recording_walk)
         rows, ok = validation_report()
         assert ok
-        points = [p for p, _ in kernel_walks]
+        points = worker_log.entries()
         # one walk per block of each oracle call, shared by all of its taus;
         # a block holds 16384 // n_tau points: the 50x64 field grids are one
         # 5-tau block each, the 120x256 quadrature grids ten 5-tau blocks per
@@ -698,12 +733,10 @@ class TestValidation:
         assert sorted(points) == sorted([3200] * 2 + ([3276] * 9 + [1236]) * 4 + [4096] * 7 + [2048])
         assert max(points) <= basis._BLOCK_POINTS // 4
 
-    def test_closed_forms_called_once_per_slice(self, monkeypatch):
-        calls = {}
-
+    def test_closed_forms_called_once_per_slice(self, monkeypatch, worker_log):
         def recording(trace):
             def recorded(tau, params):
-                calls.setdefault(trace.__name__, []).append(np.shape(tau))
+                worker_log.append((trace.__name__, np.shape(tau)))
                 return trace(tau, params)
 
             return recorded
@@ -714,13 +747,27 @@ class TestValidation:
             monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
         rows, ok = validation_report()
         assert ok
+        calls = {}
+        for name, shape in worker_log.entries():
+            calls.setdefault(name, []).append(tuple(shape))
         # two 5-tau slices of each 10-tau quadrature sweep, one axis call each
         assert calls == {name: [(5,), (5,)] for name in names}
 
-    def test_peak_memory_below_one_stack_and_ten_fields(self):
+    def test_peak_memory_below_one_stack_and_ten_fields(self, monkeypatch, worker_log):
         # the parent design held a full SET2 block stack (110 orders) beside
         # all ten 120x256 fields of a quadrature sweep
         bound = (110 * basis._BLOCK_POINTS + 10 * 4 * 120 * 256) * np.dtype(complex).itemsize
+        task = cli._slice_task
+
+        # the one worker inherits the tracing at fork and logs its peak so far
+        # after each task; pickled by name, the wrapper is what it runs
+        @functools.wraps(task)
+        def recording_task(*args):
+            rows = task(*args)
+            worker_log.append(tracemalloc.get_traced_memory()[1])
+            return rows
+
+        monkeypatch.setattr(cli, "_slice_task", recording_task)
         tracemalloc.start()
         try:
             rows, ok = validation_report(threads=1)
@@ -728,7 +775,10 @@ class TestValidation:
         finally:
             tracemalloc.stop()
         assert ok
-        assert peak < bound
+        worker_peaks = worker_log.entries()
+        assert len(worker_peaks) == 7
+        # the caller's and the worker's peaks, as if they were one process
+        assert peak + max(worker_peaks) < bound
 
     def test_validate_subcommand(self, tmp_path, capsys):
         assert main(["validate", "--quick", "--out", str(tmp_path), "--no-timestamp"]) == 0
