@@ -30,6 +30,7 @@ from .fields import (
     cat_overlap_closed_form,
     default_grid,
     fractional_revival_field,
+    gauss_sum_coefficients,
     jc_field,
     positive_energy_field,
 )
@@ -249,15 +250,12 @@ def _write_table(
 
 def _physics(scn: Scenario) -> tuple[ModelParams, DerivedScales, list[tuple[str, str]]]:
     """Check the physics keys and trunc_tol; return params, scales and the common header."""
-    try:
-        params = ModelParams(
-            **{key: _get(scn, key, float) for key in _PHYSICS_KEYS},
-            trunc_tol=_get(scn, "trunc_tol", float, ModelParams.trunc_tol),
-        )
-        win = truncation_window(params)
-        scales = derived_scales(params)
-    except ValueError as exc:
-        raise ConfigError(f"scenario {scn.name!r}: {exc}") from None
+    params = ModelParams(
+        **{key: _get(scn, key, float) for key in _PHYSICS_KEYS},
+        trunc_tol=_get(scn, "trunc_tol", float, ModelParams.trunc_tol),
+    )
+    win = truncation_window(params)
+    scales = derived_scales(params)
     header = [("scenario", scn.name)]
     header += [(key, fmt(getattr(params, key))) for key in (*_PHYSICS_KEYS, "trunc_tol")]
     header += [("window_n_min", str(win.n_min)), ("window_n_max", str(win.n_max))]
@@ -316,12 +314,6 @@ def _map(scn: Scenario):
         n_rho=_get(scn, "n_rho", int, default.n_rho),
         n_theta=_get(scn, "n_theta", int, default.n_theta),
     )
-    if not 0.0 < grid.rho_max < math.inf:
-        raise ConfigError("rho_max must be positive and finite")
-    if grid.n_rho < 2:
-        raise ConfigError("n_rho must be >= 2")
-    if grid.n_theta < 1:
-        raise ConfigError("n_theta must be >= 1")
     header += [("rho_max", fmt(grid.rho_max)), ("n_rho", str(grid.n_rho)),
                ("n_theta", str(grid.n_theta))]
     return params, scales, header, (grid.rho, grid.theta)
@@ -362,10 +354,7 @@ def _spin_map(scn: Scenario):
 def _fractional(scn: Scenario):
     params, scales, header, axes = _map(scn)
     m, n = _get(scn, "m", int), _get(scn, "n", int)
-    if not 1 <= n <= 8:
-        raise ConfigError(f"fractional revivals are supported for 1 <= n <= 8, got n = {n}")
-    if math.gcd(m, n) != 1:
-        raise ConfigError(f"m/n = {m}/{n} is not an irreducible fraction")
+    gauss_sum_coefficients(m, n)  # raises unless m/n is a supported fraction
     # the classical packet's norm in closed form; its sub-packets need it near 1
     la, qa, al, be = params.lambda_over_a, params.qa, params.alpha, params.beta
     norm = 1.0 + la**2 * (be**2 * qa**2 + al**2 * (qa**2 + 2.0)) / (4.0 * (al**2 + be**2))
@@ -406,8 +395,14 @@ _SCENARIOS = {
 
 
 def _check(scn: Scenario):
-    """Check and resolve every key of a section; nothing is computed or written."""
-    return _SCENARIOS[scn.name][2](scn)
+    """Check and resolve every key of a section; nothing is computed or written.
+
+    The library owns every range it accepts, so its ValueError is a config error.
+    """
+    try:
+        return _SCENARIOS[scn.name][2](scn)
+    except ValueError as exc:
+        raise ConfigError(f"scenario {scn.name!r}: {exc}") from None
 
 
 def _artifact_name(scn: Scenario) -> str:
@@ -585,7 +580,9 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1, metavar="N",
+                        help="N worker processes for validation (the validate command or a "
+                             "[validate] section); the report is identical for every N")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp header line (bit-exact artifacts)")
     parser = argparse.ArgumentParser(

@@ -32,6 +32,14 @@ class PolarGrid:
     n_rho: int
     n_theta: int
 
+    def __post_init__(self):
+        if not 0.0 < self.rho_max < math.inf:
+            raise ValueError("rho_max must be positive and finite")
+        if self.n_rho < 2:
+            raise ValueError("n_rho must be >= 2")
+        if self.n_theta < 1:
+            raise ValueError("n_theta must be >= 1")
+
     @property
     def rho(self) -> np.ndarray:
         return np.linspace(0.0, self.rho_max, self.n_rho)
@@ -202,21 +210,19 @@ def classical_density(rho, theta, tau: float, params: ModelParams) -> np.ndarray
 def gauss_sum_coefficients(m: int, n: int) -> tuple[int, np.ndarray]:
     """Fractional-revival weights at t = m T_R / n.
 
-    The per-mode phase factor f_k = exp(2*pi*i*m*k^2/n) is periodic in k
-    with some period l <= 2n; returns (l, p) with p_j defined by
+    m/n must be irreducible with 1 <= n <= 8 (ValueError otherwise).  The
+    per-mode phase factor f_k = exp(2*pi*i*m*k^2/n) has the period
+    l = n/2 if 4 divides n, else l = n; returns (l, p) with p_j defined by
     f_k = sum_j p_j exp(-2*pi*i*j*k/l), so the packet is
     sum_j p_j psi_cl(tau + j*T_cl/l).  Unitary: sum |p_j|^2 = 1.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got n = {n}")
+    if n > 8:
+        raise ValueError(f"fractional revivals supported for n <= 8, got n = {n}")
     if math.gcd(m, n) != 1:
         raise ValueError(f"{m}/{n} is not an irreducible fraction")
-    period = None
-    for l in range(1, 2 * n + 1):
-        if (2 * m * l) % n == 0 and (m * l * l) % n == 0:
-            period = l
-            break
-    assert period is not None
+    period = n // 2 if n % 4 == 0 else n
     k = np.arange(period)
     f = np.exp(2j * math.pi * m * k**2 / n)
     j = np.arange(period)
@@ -234,8 +240,6 @@ def fractional_revival_field(
     from ``gauss_sum_coefficients``; n=2 collapses to the single shifted
     classical packet of the first reconstruction.
     """
-    if n > 8:
-        raise ValueError("fractional revivals supported for n <= 8")
     _, dp, _ = taylor_at(params.n0, params)
     t_cl = 2.0 * math.pi / dp
     period, p = gauss_sum_coefficients(m, n)

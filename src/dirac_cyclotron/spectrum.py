@@ -50,8 +50,8 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite")
         if not self.lambda_over_a > 0:
             raise ValueError("lambda_over_a must be positive")
-        if not self.qa > 0:
-            raise ValueError("qa must be positive")
+        if not self.qa >= 1:
+            raise ValueError("taylor expansion assumes qa >= 1")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("alpha and beta cannot both vanish")
         if not 0 < self.trunc_tol < 1:
@@ -177,8 +177,6 @@ def derived_scales(params: ModelParams) -> DerivedScales:
     revival identities (which need integer index offsets) instead expand
     around the integer n0 via ``taylor_at(params.n0, ...)``.
     """
-    if params.qa < 1:
-        raise ValueError("taylor expansion assumes qa >= 1")
     n0r = params.n0_real
     try:
         p0, dp, ddp = taylor_at(n0r, params)

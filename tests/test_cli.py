@@ -6,8 +6,12 @@ import hashlib
 import itertools
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures.process import _RemoteTraceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -586,6 +590,18 @@ class TestExitCodes:
         assert "error: numeric: out of memory: Unable to allocate" in capsys.readouterr().err
         assert not (tmp_path / "velocity.csv").exists()
 
+    def test_value_error_while_computing_is_two(self, tmp_path, capsys, monkeypatch):
+        # only the check pass turns a ValueError into a config error
+        def failing(tau, params):
+            raise ValueError("series failed")
+
+        monkeypatch.setattr(cli, "mean_velocity_positive", failing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "error: numeric: series failed" in capsys.readouterr().err
+        assert not (tmp_path / "velocity.csv").exists()
+
     def test_non_finite_map_payload_is_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "spin_density", fake_spin_density(np.inf))
         cfg = tmp_path / "run.cfg"
@@ -647,6 +663,16 @@ class TestValidation:
                    and kw["max_workers"] == threads
                    and kw["mp_context"].get_start_method() == "fork"
                    and kw["initializer"] is cli._init_worker for kw in made)
+
+    def test_importing_cli_loads_no_pool_machinery(self):
+        # validation_report imports the pool on first use, so `run` sections
+        # that never validate do not pay for it at start-up
+        probe = ("import sys, dirac_cyclotron.cli; "
+                 "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_no_thread_is_a_pool_error(self):
         with pytest.raises(ValueError, match="max_workers"):

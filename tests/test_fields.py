@@ -58,6 +58,25 @@ class TestPolarGrid:
         out = g.integrate(np.full((30, 16), 1.0 + 1.0j))
         assert isinstance(out, complex)
 
+    @pytest.mark.parametrize(
+        "rho_max, n_rho, n_theta, fragment",
+        [
+            (5.0, 1, 4, "n_rho must be >= 2"),
+            (5.0, 4, 0, "n_theta must be >= 1"),
+            (0.0, 4, 4, "rho_max must be positive and finite"),
+            (-11.0, 120, 256, "rho_max must be positive and finite"),
+            (math.nan, 4, 4, "rho_max must be positive and finite"),
+            (math.inf, 4, 4, "rho_max must be positive and finite"),
+        ],
+        ids=["n_rho_1", "n_theta_0", "rho_max_0", "rho_max_negative", "rho_max_nan",
+             "rho_max_inf"],
+    )
+    def test_degenerate_grid_rejected(self, rho_max, n_rho, n_theta, fragment):
+        # unchecked, these divide by zero in weights, integrate to NaN or
+        # integrate a mirrored grid
+        with pytest.raises(ValueError, match=fragment):
+            PolarGrid(rho_max=rho_max, n_rho=n_rho, n_theta=n_theta)
+
     def test_polar_to_xy_orbit_geometry(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)
         # theta = pi points from the guiding centre back to the origin
@@ -169,6 +188,22 @@ class TestGaussSums:
     def test_reducible_fraction_rejected(self):
         with pytest.raises(ValueError):
             gauss_sum_coefficients(2, 4)
+
+    def test_period_is_the_searched_period(self):
+        # the closed form l = n/2 (4 | n) or n is the least l > 0 with
+        # f_{k+l} = f_k for every k, i.e. n | 2ml and n | ml^2
+        for n in range(1, 9):
+            for m in range(-16, 17):
+                if math.gcd(m, n) != 1:
+                    continue
+                searched = next(l for l in range(1, 2 * n + 1)
+                                if (2 * m * l) % n == 0 and (m * l * l) % n == 0)
+                period, p = gauss_sum_coefficients(m, n)
+                assert (period, len(p)) == (searched, searched), (m, n)
+
+    def test_denominator_above_eight_rejected(self):
+        with pytest.raises(ValueError, match="n <= 8"):
+            gauss_sum_coefficients(1, 9)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_denominator_below_one_rejected(self, n):

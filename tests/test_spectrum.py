@@ -106,6 +106,12 @@ class TestTaylor:
         with pytest.raises(ValueError):
             derived_scales(ModelParams(lambda_over_a=0.1, qa=0.5))
 
+    def test_params_require_qa_at_least_one(self):
+        # ModelParams owns the rule, so no packet below qa = 1 is ever built
+        with pytest.raises(ValueError, match="qa >= 1"):
+            ModelParams(lambda_over_a=0.1, qa=0.5)
+        ModelParams(lambda_over_a=0.1, qa=1.0)
+
 
 class TestDerivedScales:
     def test_scale_relations(self):
