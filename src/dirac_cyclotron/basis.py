@@ -174,6 +174,8 @@ def q_kernel_walk(k_max: int, x, y, params: ModelParams):
         yield q
 
 
+# No series reads it; it stays for the kernel tests and because the benchmark
+# tracer patches it by name, and goes when that benchmark is next refreshed.
 def q_kernel_stack(k_max: int, x, y, params: ModelParams) -> np.ndarray:
     """Q_0 .. Q_{k_max} on a grid via the ratio recurrence (axis 0 is k)."""
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -251,13 +253,14 @@ def _window(qa: float, trunc_tol: float) -> TruncationWindow:
 
 @dataclass(frozen=True, eq=False)
 class LevelTable:
-    """Per-level data of one packet: the window and every level it touches.
+    """Per-level data of one packet: the window and every level below it.
 
     ``phi``, ``d`` and ``b`` are read-only vectors of phi_n and the branch
-    factors (d_n, b_n) over n = 0 .. n_max + 1; the level above the window
-    serves the series that couple neighbouring levels.  The coherent weights
-    are evaluated here and nowhere else, once per table, as tuples of Python
-    floats: ``c[k]`` is c_k (k = 1 .. n_max + 1, ``coherent_coefficient``),
+    factors (d_n, b_n) over n = 0 .. n_max, indexed by n; the series read the
+    window's levels and, where they couple neighbouring levels, the one or
+    two just below it.  The coherent weights are evaluated here and nowhere
+    else, once per table, as tuples of Python floats: ``c[k]`` is c_k
+    (k = 1 .. n_max, ``coherent_coefficient``),
     ``c2[k]`` is c_k^2 (k = 1 .. n_max, exp of the Poisson log-pmf that the
     window search sums) and ``pair[n]`` is sqrt(2(n+1)) c_{n+1} c_{n+2}
     (n = 0 .. n_max - 1); ``c[0]`` and ``c2[0]`` are 0.0, as the weights are
@@ -286,12 +289,12 @@ def levels(params: ModelParams) -> LevelTable:
 def _levels(lambda_over_a: float, qa: float, trunc_tol: float) -> LevelTable:
     params = ModelParams(lambda_over_a=lambda_over_a, qa=qa, trunc_tol=trunc_tol)
     win = truncation_window(params)
-    n = np.arange(win.n_max + 2)
+    n = np.arange(win.n_max + 1)
     p = phi(n, params)
     d, b = branch_coefficients(n, params)
     for a in (p, d, b):
         a.flags.writeable = False
-    c = (0.0,) + tuple(coherent_coefficient(k, qa) for k in range(1, win.n_max + 2))
+    c = (0.0,) + tuple(coherent_coefficient(k, qa) for k in range(1, win.n_max + 1))
     c2 = (0.0,) + tuple(math.exp(_log_weight_sq(k, qa)) for k in range(1, win.n_max + 1))
     pair = tuple(math.exp(_pair_log_weight(n, qa)) for n in range(win.n_max))
     return LevelTable(win, p, d, b, c, c2, pair)
@@ -301,13 +304,11 @@ def _levels(lambda_over_a: float, qa: float, trunc_tol: float) -> LevelTable:
 class ModeSet:
     """A packet in the energy representation.
 
-    ``entries`` is a tuple of (ModeIndex, amplitude) sorted by ascending
-    Landau index (fixed summation order for determinism).  ``kind`` records
-    the construction: ``positive_only``, ``two_band``, ``cat_plus`` or
-    ``cat_minus``.
+    ``entries`` is a tuple of (ModeIndex, amplitude) in ascending
+    (n, -s, -lambda_k), the fixed summation order that keeps every series
+    deterministic.
     """
 
-    kind: str
     entries: tuple[tuple[ModeIndex, complex], ...]
 
     @property
@@ -315,7 +316,7 @@ class ModeSet:
         return max(idx.n for idx, _ in self.entries)
 
 
-MODE_SET_KINDS = ("positive_only", "two_band", "cat_plus", "cat_minus")
+MODE_SET_KINDS = ("positive_only", "two_band")
 
 
 def build_mode_set(kind: str, params: ModelParams) -> ModeSet:
@@ -324,9 +325,8 @@ def build_mode_set(kind: str, params: ModelParams) -> ModeSet:
     positive_only: the two positive-band branches weighted alpha/beta.
     two_band:      equal-energy superposition of both bands in the
                    lambda_k=+1 subspace, weights c_n d_n and c_n b_n.
-    cat_plus/cat_minus: the two counter-rotating components of the two_band
-                   packet, obtained by projecting onto the (nearly spin-pure)
-                   +/- spinor factors at the central level n0.
+
+    Each family is appended in its summation order (see ``ModeSet``).
     """
     if kind not in MODE_SET_KINDS:
         raise ValueError(f"unknown mode-set kind {kind!r}")
@@ -345,21 +345,8 @@ def build_mode_set(kind: str, params: ModelParams) -> ModeSet:
             # lambda_k = +1 branch: mode n = k, weight alpha c_k
             if params.alpha != 0.0:
                 entries.append((ModeIndex(k, +1, +1), params.alpha * c[k] / norm))
-    elif kind == "two_band":
+    else:
         for k in ks:
             entries.append((ModeIndex(k, +1, +1), c[k] * d[k]))
             entries.append((ModeIndex(k, -1, +1), c[k] * b[k]))
-    else:
-        d0, b0 = d[params.n0], b[params.n0]
-        for n in ks:
-            if kind == "cat_plus":
-                a_pos = c[n] * d0 * d[n] - c[n + 1] * b0 * b[n]
-                a_neg = c[n] * d0 * b[n] + c[n + 1] * b0 * d[n]
-            else:
-                a_pos = c[n] * b0 * d[n] + c[n + 1] * d0 * b[n]
-                a_neg = c[n] * b0 * b[n] - c[n + 1] * d0 * d[n]
-            entries.append((ModeIndex(n, +1, +1), a_pos))
-            entries.append((ModeIndex(n, -1, +1), a_neg))
-
-    entries.sort(key=lambda e: (e[0].n, -e[0].s, -e[0].lambda_k))
-    return ModeSet(kind=kind, entries=tuple(entries))
+    return ModeSet(tuple(entries))

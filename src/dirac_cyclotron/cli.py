@@ -610,8 +610,12 @@ def main(argv=None) -> int:
         paths: set[Path] = set()
         for scn in scenarios:
             _check(scn)
-            path = args.out / _artifact_name(scn)
+            name = _artifact_name(scn)
+            path = args.out / name
             where = f"scenario {scn.name!r} (line {scn.line})"
+            # '', '.', '..' and 'x/..' end in no file name; --out may not exist yet
+            if Path(name).name in ("", "..") or path.is_dir():
+                raise ConfigError(f"{where}: artifact {str(path)!r} names a directory")
             if path.resolve() in paths:
                 raise ConfigError(f"{where}: artifact {str(path.resolve())!r} is already "
                                   "written by an earlier section")

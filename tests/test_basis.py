@@ -248,19 +248,19 @@ class TestLevelTable:
         p = LEVEL_SETS[name]
         table = levels(p)
         assert table.window is truncation_window(p)
-        n_hi = table.window.n_max + 1
-        assert len(table.phi) == len(table.d) == len(table.b) == len(table.c) == n_hi + 1
-        for n in range(n_hi + 1):
+        # every per-level vector ends at the window's top level n_max
+        n_max = table.window.n_max
+        assert len(table.phi) == len(table.d) == len(table.b) == len(table.c) == n_max + 1
+        for n in range(n_max + 1):
             d, b = branch_coefficients(n, p)
             expected = [phi(n, p), float(d), float(b)]
             got = [float(table.phi[n]), float(table.d[n]), float(table.b[n])]
             assert [x.hex() for x in got] == [x.hex() for x in expected]
-        assert len(table.c2) == n_hi and len(table.pair) == n_hi - 1
-        for k in range(1, n_hi + 1):
+        assert len(table.c2) == n_max + 1 and len(table.pair) == n_max
+        for k in range(1, n_max + 1):
             assert table.c[k].hex() == coherent_coefficient(k, p.qa).hex()
-        for k in range(1, n_hi):
             assert table.c2[k].hex() == math.exp(_log_weight_sq(k, p.qa)).hex()
-        for n in range(n_hi - 1):
+        for n in range(n_max):
             assert table.pair[n].hex() == math.exp(_pair_log_weight(n, p.qa)).hex()
 
     @pytest.mark.parametrize("name", ["SET1", "SET2"])
@@ -289,19 +289,22 @@ class TestLevelTable:
 
 
 class TestModeSets:
-    # sha256 of repr of the entries of the four kinds, in MODE_SET_KINDS order,
-    # recorded before the mode sets were read from the level table
+    # sha256 of repr of each kind's entries, recorded before the projected
+    # cat kinds, the table's level above the window and the entry sort went
     ENTRY_DIGESTS = {
-        "SET1": "da6c14e46a146a8867bea7f3b9b7ebbbafc6f8e76af8daa1a20d5afaa174627c",
-        "SET2": "c9332fbf1a3c85d1dd169a5fa4269da6fd3ae921b91182d08962ec93c07ce4ab",
-        "qa1": "58694e14a079c92ff6ddde3256a5fbad6b09d124e6be9dd9cb566840dab8fe59",
+        ("SET1", "positive_only"): "05a49771b5e4ac655fdedf8b243e3cafda14611715a3c6b1629cc832b5ab9545",
+        ("SET1", "two_band"): "91ab18c0c4aebd33b6559b2e5bce19c8cfdca7ffe48a28d1ef447b475fb47be2",
+        ("SET2", "positive_only"): "1a0aa3568da73b7fcaceb8c86f69f5ea5dd9511c63b72d90cec4b658499d3c42",
+        ("SET2", "two_band"): "bed822bf6aff8e122f5c635cd3a97a3055e97b47440bb65efaab61f234d67ad4",
+        ("qa1", "positive_only"): "4a8e47b5558f29aeff12a7c7d00138ad26f93d3248941e07739b02d99565f1f9",
+        ("qa1", "two_band"): "7f536032f8a983bc8f1241d273c92c003b0524fa2801115eb583f84ce523938f",
     }
 
+    @pytest.mark.parametrize("kind", MODE_SET_KINDS)
     @pytest.mark.parametrize("name", LEVEL_SETS)
-    def test_entries_pinned(self, name):
-        p = LEVEL_SETS[name]
-        text = repr([build_mode_set(kind, p).entries for kind in MODE_SET_KINDS])
-        assert hashlib.sha256(text.encode()).hexdigest() == self.ENTRY_DIGESTS[name]
+    def test_entries_pinned(self, name, kind):
+        text = repr(build_mode_set(kind, LEVEL_SETS[name]).entries)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.ENTRY_DIGESTS[name, kind]
 
     @pytest.mark.parametrize("kind", MODE_SET_KINDS)
     def test_normalized(self, kind):
@@ -309,13 +312,21 @@ class TestModeSets:
         ms = build_mode_set(kind, p)
         assert float_kahan_sum(abs(a) ** 2 for _, a in ms.entries) == pytest.approx(1.0, abs=1e-9)
 
-    def test_entries_sorted_by_level(self):
-        p = ModelParams(lambda_over_a=0.1, qa=5.0)
+    @given(
+        qa=st.floats(min_value=1.0, max_value=40.0),
+        lam=st.floats(min_value=0.01, max_value=1.0),
+        weights=st.sampled_from([(1.0, 1.0), (1.3, 0.7), (1.0, 0.0), (0.0, 1.0)]),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_entries_sorted_by_level(self, qa, lam, weights, tol):
+        # the order mode_sum_field requires, with no sort after the build
+        p = ModelParams(lambda_over_a=lam, qa=qa, alpha=weights[0], beta=weights[1], trunc_tol=tol)
         for kind in MODE_SET_KINDS:
             ms = build_mode_set(kind, p)
-            ns = [idx.n for idx, _ in ms.entries]
-            assert ns == sorted(ns)
-            assert ms.n_max == ns[-1]
+            keys = [(idx.n, -idx.s, -idx.lambda_k) for idx, _ in ms.entries]
+            assert keys == sorted(set(keys))
+            assert ms.n_max == keys[-1][0]
 
     def test_positive_only_band_content(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)
@@ -328,17 +339,6 @@ class TestModeSets:
         ms = build_mode_set("positive_only", p)
         assert all(idx.lambda_k == +1 for idx, _ in ms.entries)
         assert float_kahan_sum(abs(a) ** 2 for _, a in ms.entries) == pytest.approx(1.0, abs=1e-9)
-
-    def test_cat_components_recombine_to_two_band(self):
-        # d0 * cat_plus + b0 * cat_minus must reproduce the two-band packet
-        p = ModelParams(lambda_over_a=0.5, qa=10.0)
-        d0, b0 = branch_coefficients(p.n0, p)
-        amp = {}
-        for kind, w in (("cat_plus", float(d0)), ("cat_minus", float(b0))):
-            for idx, a in build_mode_set(kind, p).entries:
-                amp[idx] = amp.get(idx, 0.0) + w * a
-        for idx, a in build_mode_set("two_band", p).entries:
-            assert amp[idx] == pytest.approx(a, abs=1e-13)
 
     def test_unknown_kind_rejected(self):
         p = ModelParams(lambda_over_a=0.1, qa=5.0)

@@ -522,19 +522,35 @@ class TestExitCodes:
              + "m = 1\nn = 3\n", "N = 7.3125 at lambda_over_a = 0.5, qa = 10.0"),
             (PHYSICS.format("fractional").replace("0.1", "0.05").replace("qa = 5", "qa = 20")
              + "m = 1\nn = 3\n", "N = 1.25063 at lambda_over_a = 0.05, qa = 20.0"),
+            (PHYSICS.format("timescales") + "output =\n", "names a directory"),
+            (PHYSICS.format("timescales") + "output = .\n", "names a directory"),
+            (PHYSICS.format("timescales") + "output = ..\n", "names a directory"),
+            (PHYSICS.format("timescales") + "output = sub/..\n", "names a directory"),
+            (PHYSICS.format("timescales") + "output = sub\n", "names a directory"),
         ],
         ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
              "duplicate_resolved_output", "trunc_tol", "t_end_multiplier", "t_nan",
              "t_end_inf", "missing_dir", "qa_below_one", "lambda_over_a_underflow",
              "T_R_overflow", "lambda_over_a_overflow", "qa_above_maximum", "n_samples",
-             "spectrum", "fractional_set2_norm", "fractional_qa20_norm"],
+             "spectrum", "fractional_set2_norm", "fractional_qa20_norm", "output_empty",
+             "output_dot", "output_parent", "output_sub_parent", "output_existing_dir"],
     )
     def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
+        (tmp_path / "sub").mkdir()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(GOOD_CONFIG + section)
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
         assert fragment in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("output", ["", ".", "..", "sub/.."])
+    def test_directory_output_refused_before_out_exists(self, tmp_path, capsys, output):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG + PHYSICS.format("timescales") + f"output = {output}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert "names a directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tolerance_below_the_rounding_of_the_weights_runs(self, tmp_path):
         # 1e-17 is below what 1 - (sum of the kept weights) can resolve; the

@@ -72,9 +72,7 @@ def _per_tau(closed):
 # spread over two weightings and two times
 CASES = {
     "positive_only": (_mode_sum("positive_only"), (1.0, 1.0), 7.3),
-    "two_band": (_mode_sum("two_band"), (1.3, 0.7), 7.3),
-    "cat_plus": (_mode_sum("cat_plus"), (1.0, 1.0), 41.9),
-    "cat_minus": (_mode_sum("cat_minus"), (1.3, 0.7), 41.9),
+    "two_band": (_mode_sum("two_band"), (1.3, 0.7), 41.9),
     "positive_energy_field": (_per_tau(positive_energy_field), (1.3, 0.7), 41.9),
     "jc_field": (_per_tau(jc_field), (1.0, 1.0), 7.3),
 }

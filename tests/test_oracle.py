@@ -34,10 +34,7 @@ from dirac_cyclotron.oracle import (
 
 
 def _single_mode_set(idx: ModeIndex, params: ModelParams) -> ModeSet:
-    return ModeSet(
-        kind="positive_only",
-        entries=((idx, 1.0 + 0.0j),),
-    )
+    return ModeSet(((idx, 1.0 + 0.0j),))
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +235,7 @@ class TestComponentPasses:
 
     def test_unsorted_entries_rejected(self, set1):
         ms = build_mode_set("two_band", set1)
-        unsorted = ModeSet(kind=ms.kind, entries=ms.entries[::-1])
+        unsorted = ModeSet(ms.entries[::-1])
         rr, tt = PolarGrid(rho_max=3.0, n_rho=4, n_theta=5).mesh()
         with pytest.raises(ValueError, match="ascending"):
             mode_sum_field(rr, tt, 0.0, unsorted, set1)
