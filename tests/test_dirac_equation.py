@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from dirac_cyclotron import (
+    ModeSet,
     ModelParams,
     build_mode_set,
     jc_field,
@@ -64,15 +65,24 @@ def _mode_sum(kind):
     return lambda rho, theta, taus, p: mode_sum_field(rho, theta, taus, build_mode_set(kind, p), p)
 
 
+def _band(s):
+    def field(rho, theta, taus, p):
+        entries = build_mode_set("two_band", p).entries
+        return mode_sum_field(rho, theta, taus, ModeSet(tuple(e for e in entries if e[0].s == s)), p)
+    return field
+
+
 def _per_tau(closed):
     return lambda rho, theta, taus, p: np.stack([closed(rho, theta, t, p) for t in taus.tolist()])
 
 
-# (field, (alpha, beta), tau): every mode-set kind and both closed forms,
-# spread over two weightings and two times
+# (field, (alpha, beta), tau): every mode-set kind, each band of two_band
+# alone and both closed forms, spread over two weightings and two times
 CASES = {
     "positive_only": (_mode_sum("positive_only"), (1.0, 1.0), 7.3),
     "two_band": (_mode_sum("two_band"), (1.3, 0.7), 41.9),
+    "two_band_upper": (_band(+1), (1.0, 1.0), 41.9),
+    "two_band_lower": (_band(-1), (1.3, 0.7), 7.3),
     "positive_energy_field": (_per_tau(positive_energy_field), (1.3, 0.7), 41.9),
     "jc_field": (_per_tau(jc_field), (1.0, 1.0), 7.3),
 }

@@ -37,6 +37,18 @@ def _single_mode_set(idx: ModeIndex, params: ModelParams) -> ModeSet:
     return ModeSet(((idx, 1.0 + 0.0j),))
 
 
+# both kinds, and each band of two_band alone: the counter-rotating halves of
+# the cat, each a sum over one band
+PACKETS = (*MODE_SET_KINDS, "two_band_upper", "two_band_lower")
+
+
+def _packet(name: str, params: ModelParams) -> ModeSet:
+    if name in MODE_SET_KINDS:
+        return build_mode_set(name, params)
+    s = +1 if name == "two_band_upper" else -1
+    return ModeSet(tuple(e for e in build_mode_set("two_band", params).entries if e[0].s == s))
+
+
 @pytest.fixture(scope="module")
 def grid1(set1):
     return PolarGrid(rho_max=set1.qa + 6.0, n_rho=50, n_theta=64)
@@ -81,13 +93,13 @@ class TestTauAxis:
     """One call over a tau axis keeps every bit of the scalar calls."""
 
     @pytest.mark.parametrize("variant", ["exact", "taylor2"])
-    @pytest.mark.parametrize("kind", MODE_SET_KINDS)
+    @pytest.mark.parametrize("kind", PACKETS)
     @pytest.mark.parametrize("set_name", ["set1", "set2"])
     def test_axis_matches_scalar_calls(self, request, set_name, kind, variant):
         params = request.getfixturevalue(set_name)
         grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
         rr, tt = grid.mesh()
-        ms = build_mode_set(kind, params)
+        ms = _packet(kind, params)
         taus = _three_taus(params)
         scalar = np.stack([mode_sum_field(rr, tt, t, ms, params, variant) for t in taus])
         axis = mode_sum_field(rr, tt, np.array(taus), ms, params, variant)
@@ -174,13 +186,13 @@ class TestComponentPasses:
     """The per-component pass keeps every bit of the entry-ordered sum."""
 
     @pytest.mark.parametrize("variant", ["exact", "taylor2"])
-    @pytest.mark.parametrize("kind", MODE_SET_KINDS)
+    @pytest.mark.parametrize("kind", PACKETS)
     @pytest.mark.parametrize("set_name", ["set1", "set2"])
     def test_matches_entry_ordered_reference(self, request, set_name, kind, variant):
         params = request.getfixturevalue(set_name)
         grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
         rr, tt = grid.mesh()
-        ms = build_mode_set(kind, params)
+        ms = _packet(kind, params)
         for tau in (0.0, 123.4):
             ref = _entry_ordered_field(rr, tt, tau, ms, params, variant)
             field = mode_sum_field(rr, tt, tau, ms, params, variant)
@@ -188,13 +200,13 @@ class TestComponentPasses:
             assert field.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("variant", ["exact", "taylor2"])
-    @pytest.mark.parametrize("kind", MODE_SET_KINDS)
+    @pytest.mark.parametrize("kind", PACKETS)
     @pytest.mark.parametrize("set_name", ["set1", "set2"])
     def test_ragged_blocks_keep_every_bit(self, request, monkeypatch, set_name, kind, variant):
         params = request.getfixturevalue(set_name)
         grid = PolarGrid(rho_max=params.qa + 6.0, n_rho=14, n_theta=18)
         rr, tt = grid.mesh()
-        ms = build_mode_set(kind, params)
+        ms = _packet(kind, params)
         taus = _three_taus(params)
         # 252 points: blocks of 40 and a ragged 12 for one tau, of 13 and a ragged 5 for three
         monkeypatch.setattr(basis, "_BLOCK_POINTS", 40)
