@@ -405,32 +405,25 @@ def _check(scn: Scenario):
         raise ConfigError(f"scenario {scn.name!r}: {exc}") from None
 
 
-def _artifact_name(scn: Scenario) -> str:
-    return scn.values.get("output", f"{scn.name}.csv")
-
-
-def run_scenario(scn: Scenario, out_dir: Path, threads: int, timestamp: bool) -> Path:
-    """Check one scenario, compute it and write its CSV artifact; returns the path.
+def run_scenario(scn: Scenario, plan, path: Path, threads: int, timestamp: bool) -> None:
+    """Compute ``plan``, what ``_check(scn)`` returned, and write its CSV artifact to ``path``.
 
     ``validate`` also prints its row table, and raises ArithmeticError once
     its artifact is written if any check failed.
     """
-    path = out_dir / _artifact_name(scn)
     if scn.name == "validate":
-        quick = _check(scn)
-        rows, ok = validation_report(quick=quick, threads=threads)
+        rows, ok = validation_report(quick=plan, threads=threads)
         for name, dev, thr, status in rows:
             print(f"{status:4s}  {name}  max|dev|={dev:.3e}  thr={thr:.0e}")
-        header = [("scenario", "validate"), ("quick", str(quick).lower())]
+        header = [("scenario", "validate"), ("quick", str(plan).lower())]
         columns = ["check", "max_abs_deviation", "threshold", "status"]
         payload = (f"{name},{fmt(dev)},{fmt(thr)},{status}\n" for name, dev, thr, status in rows)
         _write_artifact(path, header, columns, payload, timestamp)
         if not ok:
             raise ArithmeticError("validation deviations exceed thresholds")
-        return path
-    header, columns, axes, compute = _check(scn)
+        return
+    header, columns, axes, compute = plan
     _write_table(path, header, columns, axes, compute(*np.ix_(*axes)), timestamp)
-    return path
 
 
 # -- validation ---------------------------------------------------------------
@@ -601,30 +594,35 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        scenarios = parse_config(
-            args.config.read_text() if args.command == "run"
-            else f"[validate]\nquick = {'yes' if args.quick else 'no'}\n"
-        )
-        # every section is checked and its artifact path claimed before the
-        # output directory is made, so an invalid config leaves no artifact
-        paths: set[Path] = set()
+        try:
+            scenarios = parse_config(
+                args.config.read_text(encoding="utf-8") if args.command == "run"
+                else f"[validate]\nquick = {'yes' if args.quick else 'no'}\n"
+            )
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{str(args.config)!r} is not UTF-8 text: {exc}") from None
+        # every section is checked, its plan kept and its artifact path claimed
+        # before the output directory is made, so an invalid config leaves no artifact
+        plans: dict[Path, tuple] = {}  # resolved artifact path -> (section, plan, path)
         for scn in scenarios:
-            _check(scn)
-            name = _artifact_name(scn)
+            plan = _check(scn)
+            name = scn.values.get("output", f"{scn.name}.csv")
             path = args.out / name
             where = f"scenario {scn.name!r} (line {scn.line})"
+            if "\0" in str(path):
+                raise ConfigError(f"{where}: artifact {str(path)!r} holds a NUL byte")
             # '', '.', '..' and 'x/..' end in no file name; --out may not exist yet
             if Path(name).name in ("", "..") or path.is_dir():
                 raise ConfigError(f"{where}: artifact {str(path)!r} names a directory")
-            if path.resolve() in paths:
+            if path.resolve() in plans:
                 raise ConfigError(f"{where}: artifact {str(path.resolve())!r} is already "
                                   "written by an earlier section")
             if path.parent != args.out and not path.parent.is_dir():
                 raise ConfigError(f"{where}: artifact directory {str(path.parent)!r} does not exist")
-            paths.add(path.resolve())
+            plans[path.resolve()] = (scn, plan, path)
         args.out.mkdir(parents=True, exist_ok=True)
-        for scn in scenarios:
-            path = run_scenario(scn, args.out, args.threads, not args.no_timestamp)
+        for scn, plan, path in plans.values():
+            run_scenario(scn, plan, path, args.threads, not args.no_timestamp)
             print(f"wrote {path}")
         return 0
     except ConfigError as exc:

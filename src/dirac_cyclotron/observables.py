@@ -228,13 +228,18 @@ def mean_velocity_jc(tau, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     win, p = table.window, table.phi
     n = np.arange(win.n_min, win.n_max)[:, None]  # one row per level
     w, fd, fs = np.array(table.pair)[n - 1], p[n + 1] - p[n], p[n + 1] + p[n]
+    cx, cy = w / (p[n] * p[n + 1]), w / p[n]
 
-    def terms(wave, c):
-        return lambda blk, t: c[blk] * (wave(fd[blk] * t) - wave(fs[blk] * t))
+    def terms(blk, t):
+        # v_x + i v_y, each part set apart: a + 1j*b would turn a -0.0 of b into +0.0
+        slow, fast = fd[blk] * t, fs[blk] * t
+        term = np.empty(slow.shape, dtype=complex)
+        term.real = cx[blk] * (np.cos(slow) - np.cos(fast))
+        term.imag = cy[blk] * (np.sin(slow) - np.sin(fast))
+        return term
 
-    vx = _level_sum(tau, len(n), terms(np.cos, w / (p[n] * p[n + 1])), float)
-    vy = _level_sum(tau, len(n), terms(np.sin, w / p[n]), float)
-    return params.lambda_over_a * vx, params.lambda_over_a * vy
+    v = _level_sum(tau, len(n), terms)
+    return params.lambda_over_a * v.real, params.lambda_over_a * v.imag
 
 
 def mean_spin_z_jc(tau, params: ModelParams) -> np.ndarray:

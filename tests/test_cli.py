@@ -19,18 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_cyclotron import ModelParams, PolarGrid, __version__, basis, cli, derived_scales, oracle
-from dirac_cyclotron.basis import q_kernel_walk
+from dirac_cyclotron.basis import levels, q_kernel_walk
 from dirac_cyclotron.cli import (
     ConfigError,
-    Scenario,
     fmt,
     main,
     parse_config,
     parse_provenance,
     resolve_time,
-    run_scenario,
     validation_report,
 )
+from dirac_cyclotron.spectrum import taylor_at
 
 # sha256 of the validate.csv that `dirac-cyclotron validate --quick
 # --no-timestamp` writes; reusing kernel stacks and oracle fields across
@@ -409,6 +408,40 @@ class TestScenarios:
             (r, t) for r in (0.0, 1.25, 2.5) for t in np.linspace(0.0, 2.0 * math.pi, 4, endpoint=False)
         ]
 
+    def test_each_section_checked_once(self, tmp_path, monkeypatch):
+        # the check pass resolves each section, and the section runs that plan
+        checked, check = [], cli._check
+
+        def recording_check(scn):
+            checked.append(scn.name)
+            return check(scn)
+
+        monkeypatch.setattr(cli, "_check", recording_check)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(EVERY_SCENARIO[:3]))
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
+        assert checked == ["timescales", "velocity", "spin-trace"]
+        assert len(list(tmp_path.glob("*.csv"))) == 3
+
+    @pytest.mark.parametrize("physics", [(0.1, 5.0), (0.5, 10.0), (0.05, 30.0)],
+                             ids=["set1", "set2", "qa30"])
+    def test_cat_overlap_over_a_revival(self, tmp_path, physics):
+        # |<chi+|chi->| = |d0 b0 (e^{2i phi' tau} - 1)| = 2 d0 b0 |sin(phi' tau)|
+        # on every sample up to T_R, with d0, b0 and phi' taken at n0
+        params = ModelParams(lambda_over_a=physics[0], qa=physics[1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[cat]\nlambda_over_a = {physics[0]}\nqa = {physics[1]}\nalpha = 1\n"
+                       "beta = 1\nt_end = T_R\nn_samples = 2001\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
+        rows = [line for line in (tmp_path / "cat.csv").read_text().splitlines()
+                if not line.startswith("#")][1:]
+        tau, overlap = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+        table = levels(params)
+        d0, b0 = table.d[params.n0], table.b[params.n0]
+        _, dp, _ = taylor_at(params.n0, params)
+        assert len(tau) == 2001 and tau[-1] == derived_scales(params).T_R
+        assert np.max(np.abs(overlap - 2.0 * d0 * b0 * np.abs(np.sin(dp * tau)))) <= 1e-15
+
     def test_fractional_scenario_runs(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -527,13 +560,16 @@ class TestExitCodes:
             (PHYSICS.format("timescales") + "output = ..\n", "names a directory"),
             (PHYSICS.format("timescales") + "output = sub/..\n", "names a directory"),
             (PHYSICS.format("timescales") + "output = sub\n", "names a directory"),
+            (PHYSICS.format("velocity") + "t_end = 0.0\n", "t_end must be greater than t_start"),
+            (PHYSICS.format("timescales") + "output = a\0b.csv\n", "holds a NUL byte"),
         ],
         ids=["n_rho", "t_end", "quick", "packet", "fraction", "duplicate_output",
              "duplicate_resolved_output", "trunc_tol", "t_end_multiplier", "t_nan",
              "t_end_inf", "missing_dir", "qa_below_one", "lambda_over_a_underflow",
              "T_R_overflow", "lambda_over_a_overflow", "qa_above_maximum", "n_samples",
              "spectrum", "fractional_set2_norm", "fractional_qa20_norm", "output_empty",
-             "output_dot", "output_parent", "output_sub_parent", "output_existing_dir"],
+             "output_dot", "output_parent", "output_sub_parent", "output_existing_dir",
+             "t_end_zero", "output_nul"],
     )
     def test_later_bad_section_writes_nothing(self, tmp_path, capsys, section, fragment):
         (tmp_path / "sub").mkdir()
@@ -551,6 +587,25 @@ class TestExitCodes:
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert "names a directory" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        # read as UTF-8 whatever the locale: the same comment in UTF-8 runs
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(GOOD_CONFIG.encode() + "# caf\u00e9\n".encode("latin-1"))
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "is not UTF-8 text" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+        cfg.write_bytes(GOOD_CONFIG.encode() + "# caf\u00e9\n".encode())
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_nul_out_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        args = [str(cfg)] if command == "run" else ["--quick"]
+        assert main([command, *args, "--out", str(tmp_path / "a\0b")]) == 1
+        assert "holds a NUL byte" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_tolerance_below_the_rounding_of_the_weights_runs(self, tmp_path):
         # 1e-17 is below what 1 - (sum of the kept weights) can resolve; the
@@ -893,21 +948,3 @@ class TestValidation:
         assert main(["run", str(cfg), "--out", str(tmp_path), "--no-timestamp"]) == 0
         text = (tmp_path / "validate.csv").read_text()
         assert "FAIL" not in text
-
-
-class TestRunScenarioDirect:
-    def test_unknown_packet_rejected(self, tmp_path):
-        scn = Scenario(name="density-map", line=1, values={
-            "lambda_over_a": "0.1", "qa": "5", "alpha": "1", "beta": "1",
-            "t": "0", "packet": "tachyonic",
-        })
-        with pytest.raises(ConfigError, match="packet"):
-            run_scenario(scn, tmp_path, threads=1, timestamp=False)
-
-    def test_bad_time_axis_rejected(self, tmp_path):
-        scn = Scenario(name="velocity", line=1, values={
-            "lambda_over_a": "0.1", "qa": "5", "alpha": "1", "beta": "1",
-            "t_end": "0.0",
-        })
-        with pytest.raises(ConfigError, match="t_end"):
-            run_scenario(scn, tmp_path, threads=1, timestamp=False)
