@@ -465,9 +465,9 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
 
     Returns (rows, all_ok); each row is (check, max_abs_deviation, threshold,
     status).  All comparisons are deterministic (fixed seed, ordered sums).
-    The oracle sweeps run on ``threads`` worker processes forked from the
-    caller (ValueError below 1), their slices submitted in descending work,
-    taus x grid points x mode-set entries.
+    The oracle sweeps run on min(``threads``, slice tasks) worker processes
+    forked from the caller (ValueError below 1), their slices submitted in
+    descending work, taus x grid points x mode-set entries.
     """
     rng = np.random.default_rng(VALIDATE_SEED)
     n_field_times = 2 if quick else 5
@@ -528,16 +528,17 @@ def validation_report(quick: bool = False, threads: int = 1) -> tuple[list[tuple
     from concurrent.futures import ProcessPoolExecutor
 
     # One task per slice, in sweep and tau order, all submitted before any
-    # result is read, so the kernel check overlaps the pool work.  The
-    # workers fork at the first submit and inherit the sweeps; a task is
-    # sent as (sweep index, slice start) and returns its per-tau float
-    # tuples.  Each task is deterministic, so the rows do not depend on the
-    # schedule.
-    with ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"),
+    # result is read, so the kernel check overlaps the pool work.  The pool
+    # forks every worker at the first submit, before it starts a thread (no
+    # fork warning under -W error), so it gets no more workers than tasks.
+    # The workers inherit the sweeps; a task, sent as (sweep index, slice
+    # start), returns its per-tau float tuples and is deterministic.
+    starts = [range(0, len(taus), _SLICE_TAUS) for _, _, _, taus, _ in sweeps]
+    with ProcessPoolExecutor(max_workers=min(threads, sum(map(len, starts))),
+                             mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(sweeps,)) as pool:
-        futures = [[pool.submit(_slice_task, index, start)
-                    for start in range(0, len(taus), _SLICE_TAUS)]
-                   for index, (_, _, _, taus, _) in enumerate(sweeps)]
+        futures = [[pool.submit(_slice_task, index, start) for start in sweep_starts]
+                   for index, sweep_starts in enumerate(starts)]
 
         # numeric p-integral vs closed-form kernel, on this process
         pts = [(0.0, SET1.qa), (1.0, SET1.qa), (-2.0, SET1.qa + 1.0), (0.5, SET1.qa - 2.0),
@@ -574,7 +575,7 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=Path, default=Path("."), help="output directory")
     common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="N worker processes for validation (the validate command or a "
+                        help="up to N worker processes for validation (the validate command or a "
                              "[validate] section); the report is identical for every N")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp header line (bit-exact artifacts)")

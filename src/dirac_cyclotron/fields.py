@@ -151,8 +151,6 @@ def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.nda
     totals = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
     block_sums(totals, add_terms, w, rho, e_mth)
     pref = envelope_prefactor(rho, theta, params) / params.weight_norm
-    if totals.ndim == 1:  # a point keeps numpy's scalar products: the ufunc's bits differ
-        return np.stack([pref * a for a in totals])
     return np.multiply(pref, totals, out=totals)
 
 

@@ -177,7 +177,7 @@ def spin_density(rho, theta, tau: float, params: ModelParams) -> tuple[np.ndarra
         * np.exp(-0.5 * (qa**2 + rho**2))
         / (2.0 * math.pi)
     )
-    s = pref * (s_a1 * np.conj(s_a2) + s_b1 * np.conj(s_b2))
+    s = pref * (np.conj(s_a2) * s_a1 + np.conj(s_b2) * s_b1)
     return s.real, s.imag
 
 

@@ -104,7 +104,7 @@ EVERY_SCENARIO_SHA256 = {
     "cat.csv": "28931b8b69c88982eb37edf3b373a5d905366016f1bcc7fee74f0dca480a3937",
     "density-exact.csv": "3f8f4f8647879b8c50b75c35e28fe0836db5d6a7d003403cfb15847abd6625e9",
     "density-taylor2.csv": "121c25b701b245982743f46fd9287153dee6b15f3beab31aa4d13f241dc616ad",
-    "spin-map.csv": "cb9093a0be896be2cdc4df620249bce3e0e774a331cf52384899da31396a3346",
+    "spin-map.csv": "e6087a78abb458455a6c0017f7121fe72ad8acbc5c81a05757d97de63cca4086",
     "fractional.csv": "3fab66f5f8c98227b77935e8a912ca458fabfbd88022c17329926452c156a0ef",
 }
 
@@ -715,23 +715,24 @@ class TestValidation:
         digest = hashlib.sha256((tmp_path / "validate.csv").read_bytes()).hexdigest()
         assert digest == QUICK_VALIDATE_SHA256
 
-    # one thread runs the tasks on a one-worker pool too: one code path
-    @pytest.mark.parametrize("threads, pools", [(1, 1), (2, 1), (3, 1)])
-    def test_one_pool_for_the_whole_report(self, monkeypatch, threads, pools):
+    # one thread runs the tasks on a one-worker pool too: one code path; and
+    # no more workers than the 5 slice tasks of a quick report
+    @pytest.mark.parametrize("threads, workers", [(1, 1), (2, 2), (3, 3), (64, 5)])
+    def test_one_pool_for_the_whole_report(self, monkeypatch, threads, workers):
         made = []
         process_pool = concurrent.futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
-            made.append(kwargs)
-            return process_pool(*args, **kwargs)
+            made.append(kwargs)  # and never forks more than 2 workers itself
+            return process_pool(*args, **{**kwargs, "max_workers": min(2, kwargs["max_workers"])})
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         rows, ok = validation_report(quick=True, threads=threads)
         assert ok
-        assert len(made) == pools
-        # N forked workers, handed the sweeps once by the initializer
+        assert len(made) == 1
+        # min(N, tasks) forked workers, handed the sweeps once by the initializer
         assert all(kw.keys() == {"max_workers", "mp_context", "initializer", "initargs"}
-                   and kw["max_workers"] == threads
+                   and kw["max_workers"] == workers
                    and kw["mp_context"].get_start_method() == "fork"
                    and kw["initializer"] is cli._init_worker for kw in made)
 

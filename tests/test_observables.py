@@ -85,7 +85,7 @@ def spin_density_three_loops(rho, theta, tau, params):
         / (2.0 * math.pi)
     )
     s = pref * (
-        s_a1.total * np.conj(s_a2.total) + s_b1.total * np.conj(s_b2.total)
+        np.conj(s_a2.total) * s_a1.total + np.conj(s_b2.total) * s_b1.total
     )
     return s.real, s.imag
 
