@@ -597,7 +597,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         try:
             scenarios = parse_config(
-                args.config.read_text(encoding="utf-8") if args.command == "run"
+                args.config.read_text(encoding="utf-8-sig") if args.command == "run"
                 else f"[validate]\nquick = {'yes' if args.quick else 'no'}\n"
             )
         except UnicodeDecodeError as exc:

@@ -137,15 +137,13 @@ def positive_energy_field(rho, theta, tau: float, params: ModelParams) -> np.nda
         W_prev = _scaled_power(w_b, win.n_min - 2) if win.n_min >= 2 else np.empty_like(W)
         for k, a1, a4, root_2k, ph_k, b2, b3, ph_n in series:
             # lambda_k=+1 branch: Landau index n = k, components 1 and 4
-            if al != 0.0:
-                acc[0].add(np.multiply(np.multiply(a1, W, out=term), ph_k, out=term))
-                np.multiply(a4 * rho_b / root_2k, W, out=term)
-                acc[3].add(np.multiply(np.multiply(term, e_b, out=term), ph_k, out=term))
+            acc[0].add(np.multiply(np.multiply(a1, W, out=term), ph_k, out=term))
+            np.multiply(a4 * rho_b / root_2k, W, out=term)
+            acc[3].add(np.multiply(np.multiply(term, e_b, out=term), ph_k, out=term))
             # lambda_k=-1 branch: Landau index n = k - 1, components 2 and 3
-            if be != 0.0:
-                acc[1].add(np.multiply(np.multiply(b2, W, out=term), ph_n, out=term))
-                if b3 is not None:
-                    acc[2].add(np.multiply(np.multiply(b3, W_prev, out=term), ph_n, out=term))
+            acc[1].add(np.multiply(np.multiply(b2, W, out=term), ph_n, out=term))
+            if b3 is not None:
+                acc[2].add(np.multiply(np.multiply(b3, W_prev, out=term), ph_n, out=term))
             W_prev, W = W, np.divide(np.multiply(W, w_b, out=W_prev), k, out=W_prev)
 
     totals = np.empty((4,) + np.broadcast_shapes(rho.shape, theta.shape), dtype=complex)
@@ -161,34 +159,9 @@ def classical_field(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
     theta_c = pi - 2*pi*tau/T_cl.  The linearization is centred on the
     *integer* n0, so that the residual phases are exact quadratics in the
     integer offset n - n0 and the revival/Gauss-sum identities hold exactly.
+    It is the one-sub-packet Gauss sum m/n = 0/1 (l = 1, p = [1]).
     """
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    pref = _classical_prefactor(envelope_prefactor(rho, theta, params), rho, theta, tau, params)
-    psi = np.empty((4,) + pref.shape, dtype=complex)
-    for i, factor in enumerate(_spin_factors(rho, theta, params)(tau)):
-        np.multiply(factor, pref, out=psi[i, ...])  # an array, also for a point
-    return psi
-
-
-def _classical_prefactor(env, rho, theta, tau: float, params: ModelParams) -> np.ndarray:
-    """The classical packet's rotation x ``env`` (the envelope prefactor) x global
-    phase / weight_norm at ``tau``, formed in place: an array, also for a point."""
-    phi0, dp, _ = taylor_at(params.n0, params)
-    pref = np.asarray(np.exp(-0.5 * params.qa * rho * np.exp(-1j * (theta + dp * tau))))
-    np.multiply(env, pref, out=pref)
-    np.multiply(pref, np.exp(-1j * (phi0 + (1.0 - params.n0) * dp) * tau), out=pref)
-    return np.divide(pref, params.weight_norm, out=pref)
-
-
-def _spin_factors(rho, theta, params: ModelParams):
-    """The classical packet's four spin factors as a function of tau: alpha,
-    beta e^{i phi' tau}, beta qa lambda/2a and -alpha (lambda/2a) rho e^{-i theta},
-    the last formed once here.  Component i is factor_i x prefactor."""
-    _, dp, _ = taylor_at(params.n0, params)
-    al, be, la = params.alpha, params.beta, params.lambda_over_a
-    last = np.multiply(-al * 0.5 * la * rho, np.exp(-1j * theta))
-    return lambda tau: (al, be * np.exp(1j * dp * tau), be * 0.5 * params.qa * la, last)
+    return fractional_revival_field(rho, theta, tau, 0, 1, params)
 
 
 def classical_density(rho, theta, tau: float, params: ModelParams) -> np.ndarray:
@@ -238,19 +211,27 @@ def fractional_revival_field(
     from ``gauss_sum_coefficients``; n=2 collapses to the single shifted
     classical packet of the first reconstruction.
     """
-    _, dp, _ = taylor_at(params.n0, params)
+    phi0, dp, _ = taylor_at(params.n0, params)
     t_cl = 2.0 * math.pi / dp
     period, p = gauss_sum_coefficients(m, n)
+    qa, al, be, la = params.qa, params.alpha, params.beta, params.lambda_over_a
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
 
     def add_terms(term, sums, rho_b, theta_b):
         env = envelope_prefactor(rho_b, theta_b, params)
-        factors_at = _spin_factors(rho_b, theta_b, params)
+        last = np.multiply(-al * 0.5 * la * rho_b, np.exp(-1j * theta_b))
         for j in range(period):
             t = tau + j * t_cl / period
-            pref = _classical_prefactor(env, rho_b, theta_b, t, params)
-            for acc, factor in zip(sums, factors_at(t), strict=True):
+            # the sub-packet's rotation x env x global phase / weight_norm, in place
+            pref = np.asarray(np.exp(-0.5 * qa * rho_b * np.exp(-1j * (theta_b + dp * t))))
+            np.multiply(env, pref, out=pref)
+            np.multiply(pref, np.exp(-1j * (phi0 + (1.0 - params.n0) * dp) * t), out=pref)
+            np.divide(pref, params.weight_norm, out=pref)
+            # component i is spin factor i x pref: alpha, beta e^{i phi' t},
+            # beta qa lambda/2a and -alpha (lambda/2a) rho e^{-i theta}
+            factors = (al, be * np.exp(1j * dp * t), be * 0.5 * qa * la, last)
+            for acc, factor in zip(sums, factors, strict=True):
                 acc.add(np.multiply(p[j], np.multiply(factor, pref, out=term), out=term))
             del pref  # so the next sub-packet's prefactor is formed without it
 

@@ -53,11 +53,8 @@ def mean_velocity_positive(tau, params: ModelParams) -> tuple[np.ndarray, np.nda
     cb, fb = b2 * np.sqrt((p[n] + 1.0) / p[n]), 1j * (p[n + 1] - p[n])
 
     def terms(blk, t):
-        term = np.zeros((len(n[blk]), t.size), dtype=complex)
-        if a2 != 0.0:
-            term += ca[blk] * np.exp(fa[blk] * t)
-        if b2 != 0.0:
-            term += cb[blk] * np.exp(fb[blk] * t)
+        term = ca[blk] * np.exp(fa[blk] * t)
+        term += cb[blk] * np.exp(fb[blk] * t)
         return np.multiply(w[blk], term, out=term)
 
     v = _level_sum(tau, len(n), terms) / (a2 + b2)
@@ -185,18 +182,19 @@ def spin_density_classical(rho, theta, tau: float, params: ModelParams) -> tuple
     """Rigidly rotating approximation of the transverse spin density.
 
     A Gaussian blob on the cyclotron orbit whose spin direction precesses at
-    the cyclotron frequency, with a small static relativistic correction.
-    Derived for alpha = beta.
+    the cyclotron frequency, with a small static relativistic correction:
+    2 (conj(psi_1) psi_2 + conj(psi_3) psi_4) of ``classical_field``, whose
+    weights scale it by 2 alpha beta / (alpha^2 + beta^2).
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    qa = params.qa
+    qa, al, be = params.qa, params.alpha, params.beta
     la = params.lambda_over_a
     _, dp, _ = taylor_at(params.n0, params)
     ang = dp * tau
     env = np.exp(
         -0.5 * (rho**2 + qa**2 + 2.0 * rho * qa * np.cos(theta + ang))
-    ) / (2.0 * math.pi)
+    ) / (2.0 * math.pi) * (2.0 * al * be / (al * al + be * be))
     sx = env * (math.cos(ang) - 0.25 * la**2 * qa * rho * np.cos(theta))
     sy = env * (math.sin(ang) + 0.25 * la**2 * qa * rho * np.sin(theta))
     return sx, sy

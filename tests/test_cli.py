@@ -598,6 +598,26 @@ class TestExitCodes:
         cfg.write_bytes(GOOD_CONFIG.encode() + "# caf\u00e9\n".encode())
         assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
 
+    def test_config_with_byte_order_mark_runs(self, tmp_path, capsys):
+        # editors that save "UTF-8 with BOM" start the file with EF BB BF
+        text = GOOD_CONFIG + SMALL_SPIN_MAP
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "run.cfg").write_bytes(data)
+            out = tmp_path / name / "out"
+            assert main(["run", str(tmp_path / name / "run.cfg"), "--out", str(out),
+                         "--no-timestamp"]) == 0
+        plain, bom = (sorted((tmp_path / n / "out").iterdir()) for n in ("plain", "bom"))
+        assert [p.name for p in plain] == [p.name for p in bom] and len(plain) == 2
+        for a, b in zip(plain, bom, strict=True):
+            assert a.read_bytes() == b.read_bytes()
+        # a BOM does not excuse an undecodable byte after it
+        (tmp_path / "bom" / "run.cfg").write_bytes(b"\xef\xbb\xbf" + text.encode() + b"# caf\xe9\n")
+        capsys.readouterr()
+        assert main(["run", str(tmp_path / "bom" / "run.cfg"), "--out", str(tmp_path / "x")]) == 1
+        assert "is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_nul_out_is_config_error(self, tmp_path, capsys, command):
         cfg = tmp_path / "run.cfg"

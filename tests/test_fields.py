@@ -348,6 +348,8 @@ def map_digest(kernel: str, n_rho: int, n_theta: int) -> str:
 # series in row blocks.  Both grids are above numpy's 256 KiB temporary-
 # elision threshold, which the 17x19 grids never reach: the default grid is
 # two blocks (64 + 56 rows) and 131x257 three ragged ones (63 + 63 + 5).
+# classical_field's two entries were recorded again once it became the 0/1
+# Gauss sum: its compensated sums start at +0.0, so some -0.0 became +0.0.
 MAP_SHA256 = {
     ("spin_density", 120, 256): "7ec2fd80888cdbcceee44371d6cd343d2ad6d2ae1952e8b011b644a656e3ea7f",
     ("spin_density", 131, 257): "0e8e8e62bb7b18bb105e6d16b6492fcc9fa2e6e930f81260e9ff73fcd3d1a0b5",
@@ -355,8 +357,8 @@ MAP_SHA256 = {
     ("positive_energy_field", 131, 257): "4090f12ea0dcae899330a36ec408aa010b0459e944df82f95f2349a7dd84fd46",
     ("jc_spinor", 120, 256): "732b7ac6d8b1a21ef3998c5dd8e3b92f15b93e974cbf9fbf57adee19455775b9",
     ("jc_spinor", 131, 257): "ef7d3797c16ec3a079d887040f084b9bd1aaecb31e1ba47892b9b7c24d28863a",
-    ("classical_field", 120, 256): "a74c430ec359791e3664dea4d1e67cae6693d00fa7458e0ebe11cdd968f25176",
-    ("classical_field", 131, 257): "9624a5b837497a543cdb07b714d6fd473898bed61b95db9a22d890d1d4bc73ba",
+    ("classical_field", 120, 256): "23fbb0cbd11774af4dd46a2b0918218fb686a97458f1ac84b827ee8dd7a08c2a",
+    ("classical_field", 131, 257): "f5e98aa73ef8ef8949c14a5818c9bf0ba1d2c737824672b05c2029063da97eef",
     ("fractional_1_3", 120, 256): "ffc45c9cafa72afad8ed58414e26f6a2354ec88aac8482c762ff9e87ad82316c",
     ("fractional_1_3", 131, 257): "abef6e5ab556be5081dfb59b506f8abd5d581a769cfd9608f891476e39f6de81",
     ("fractional_2_7", 120, 256): "34eb8ecbff3e2fc39844f412a86b2d9f3575db6e6cc486084b0d20a7da6a194d",
@@ -450,3 +452,27 @@ class TestPointInput:
         # set2_alpha_ne_beta's window starts at n_min = 10, so its 0-d calls
         # seed the level-power recurrences with 0-d powers w^j/j!, j >= 1
         assert point_digest() == POINT_SHA256
+
+
+# a beta = 0 packet, which MAP_PARAMS lacks; positive_energy_field_beta0_digest()
+# as recorded while the field still skipped each zero-weight branch
+BETA0_PARAMS = ModelParams(lambda_over_a=0.2, qa=3.0, alpha=1.0, beta=0.0)
+BETA0_SHA256 = "1a7cee246e6c7d9c81f7c389ba9e22ecc166953fe9f97b4b223e491940855e2f"
+
+
+def positive_energy_field_beta0_digest() -> str:
+    """sha256 of positive_energy_field at BETA0_PARAMS on 120x256 grid axes
+    and at one point, at two taus."""
+    digest = hashlib.sha256()
+    g = PolarGrid(rho_max=BETA0_PARAMS.qa + 6.0, n_rho=120, n_theta=256)
+    for tau in (0.0, 123.4):
+        digest.update(positive_energy_field(*np.ix_(g.rho, g.theta), tau, BETA0_PARAMS).tobytes())
+        digest.update(positive_energy_field(2.5, 0.3, tau, BETA0_PARAMS).tobytes())
+    return digest.hexdigest()
+
+
+class TestZeroWeight:
+    def test_beta0_field_bytes_pinned(self):
+        # the zero-weight sums start at +0.0 and stay there: both bands'
+        # terms are added whatever the weights
+        assert positive_energy_field_beta0_digest() == BETA0_SHA256

@@ -9,6 +9,7 @@ from dirac_cyclotron import (
     KahanAccumulator,
     ModelParams,
     build_mode_set,
+    classical_field,
     collapse_envelope,
     default_grid,
     derived_scales,
@@ -257,6 +258,27 @@ class TestSpinDensity:
         peak = float(np.max(np.hypot(sx, sy)))
         dev = max(float(np.max(np.abs(sx - cx))), float(np.max(np.abs(sy - cy))))
         assert dev / peak < 0.005
+
+    @pytest.mark.parametrize("alpha, beta", [(1.5, 0.5), (1.0, 0.0), (0.5, -2.0)])
+    def test_classical_maps_are_the_spin_of_the_classical_field(self, alpha, beta):
+        # 2 (conj(psi_1) psi_2 + conj(psi_3) psi_4) of classical_field, which
+        # carries the weights as 2 alpha beta / (alpha^2 + beta^2): 0 at beta = 0
+        p = ModelParams(lambda_over_a=0.5, qa=10.0, alpha=alpha, beta=beta)
+        rr, tt = default_grid(p, n_rho=40, n_theta=64).mesh()
+        _, dp, _ = taylor_at(p.n0, p)
+        tau = 0.37 * 2.0 * math.pi / dp
+
+        def field_spin(t):
+            psi = classical_field(rr, tt, t, p)
+            return 2.0 * (np.conj(psi[0]) * psi[1] + np.conj(psi[2]) * psi[3]), psi
+
+        s, psi = field_spin(tau)
+        s_half = 0.5 * (s + field_spin(tau + math.pi / dp)[0])
+        scale = float(np.max(np.sum(np.abs(psi) ** 2, axis=0)))
+        for got, want in ((spin_density_classical(rr, tt, tau, p), s),
+                          (spin_density_half_revival(rr, tt, tau, p), s_half)):
+            assert float(np.max(np.abs(got[0] - want.real))) <= 1e-14 * scale
+            assert float(np.max(np.abs(got[1] - want.imag))) <= 1e-14 * scale
 
     def test_classical_map_precession_direction(self, set1):
         # integrated spin direction of the rigid map tracks the exact one
